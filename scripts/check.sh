@@ -87,15 +87,29 @@ build/examples/predictor_tool --suite --stats=json --threads=4 \
 diff build/stats-t1.json build/stats-t4.json
 echo "stats determinism: ok"
 
-# Module-scale smoke: on a small generated module (depth-bounded so the
-# refinement converges inside the per-function budget), re-analyzing
+# Module-scale smoke: on a 2,000-function generated module (depth-bounded
+# so the refinement converges inside the per-function budget; large
+# enough that a per-function whole-module pass shows up), re-analyzing
 # incrementally after mutating 3 functions must (1) visit only the
 # invalidated cone — at least the mutated functions, strictly fewer than
 # the module — and (2) reproduce the cold analysis fingerprint bitwise.
-ms_args="--module-scale=300 --module-layers=3 --module-seed=11 --mutate=3"
-build/examples/predictor_tool $ms_args > build/module-cold.json
+# (3) Load aliasing must stay a per-function cost: the cold propagation
+# timer with --alias=on may be at most 1.5x the one with --alias=off.
+ms_args="--module-scale=2000 --module-layers=3 --module-seed=11 --mutate=3 --threads=1"
+build/examples/predictor_tool $ms_args --stats=json > build/module-cold.json
+build/examples/predictor_tool $ms_args --alias=off --stats=json \
+  > build/module-noalias.json
 build/examples/predictor_tool $ms_args --incremental > build/module-inc.json
 ms_field() { grep -o "\"$2\": [0-9a-fx\"]*" "$1" | head -n1 | sed 's/.*: //; s/"//g'; }
+prop_ns() { grep -o '"propagation": {"ns": [0-9]*' "$1" | grep -o '[0-9]*$'; }
+alias_on_ns=$(prop_ns build/module-cold.json)
+alias_off_ns=$(prop_ns build/module-noalias.json)
+if ! awk -v on="$alias_on_ns" -v off="$alias_off_ns" \
+     'BEGIN { exit !(on > 0 && off > 0 && on <= 1.5 * off) }'; then
+  echo "module-scale smoke: propagation with alias on ($alias_on_ns ns)" \
+       "exceeds 1.5x alias off ($alias_off_ns ns)" >&2
+  exit 1
+fi
 cold_fp=$(ms_field build/module-cold.json fingerprint)
 inc_fp=$(ms_field build/module-inc.json fingerprint)
 cone=$(ms_field build/module-inc.json functions_reanalyzed)
@@ -108,7 +122,8 @@ if [ "${cone:-0}" -lt 3 ] || [ "$cone" -ge "$nfns" ]; then
   echo "module-scale smoke: cone $cone out of range [3, $nfns)" >&2
   exit 1
 fi
-echo "module-scale smoke: ok (cone $cone of $nfns, fingerprint $inc_fp)"
+echo "module-scale smoke: ok (cone $cone of $nfns, fingerprint $inc_fp," \
+     "alias on/off propagation $alias_on_ns/$alias_off_ns ns)"
 
 # Fault-injection smoke: an injected parse fault must surface as exit
 # code 1 with a rendered diagnostic, not a crash.

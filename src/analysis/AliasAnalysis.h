@@ -36,11 +36,14 @@
 /// and (post-)cloning — clones that duplicate a store break exclusivity
 /// and conservatively disable tier (b) for that object.
 ///
-/// The summary depends on module-level facts outside the function's own
-/// IR text (who else stores to an object; initial cell values), so every
-/// content-addressed cache keyed on that text must also fold in
-/// environmentText() — see PersistentCache::makeKey and the incremental
-/// scheduler's changed-function fingerprint.
+/// The one module-level fact the summary needs — who stores to each
+/// object — lives in an AliasEnvironment, built once per module version
+/// and shared by every per-function query. Because the summary depends
+/// on facts outside the function's own IR text (who else stores to an
+/// object; initial cell values), every content-addressed cache keyed on
+/// that text must also fold in environmentText() — see
+/// PersistentCache::makeKey and the incremental scheduler's
+/// changed-function fingerprint.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -56,8 +59,39 @@ namespace vrp {
 class Function;
 class Instruction;
 class LoadInst;
+class MemoryObject;
+class Module;
 class StoreInst;
 class Value;
+
+/// The module-wide store census: for each stored object, its sole writer
+/// function, or null when several functions store to it. Objects absent
+/// from the census are never stored.
+///
+/// Lifetime: one environment per module *version*. It reads every
+/// function's stores, so any change to the module's store set — a new
+/// function, an edited body, a clone — needs a fresh one. The
+/// interprocedural driver rebuilds it next to the call graph (including
+/// after cloning), and incremental re-analysis builds one per side: the
+/// previous module's and the current one's. Read-only once built, so
+/// concurrent queries for different functions are safe.
+class AliasEnvironment {
+public:
+  explicit AliasEnvironment(const Module &M);
+
+  const Module &module() const { return M; }
+
+  /// True when every value \p O can hold while \p F runs was produced by
+  /// \p F itself (or is the initial value).
+  bool exclusiveTo(const MemoryObject *O, const Function *F) const {
+    auto It = SoleWriter.find(O);
+    return It == SoleWriter.end() || It->second == F;
+  }
+
+private:
+  const Module &M;
+  std::unordered_map<const MemoryObject *, const Function *> SoleWriter;
+};
 
 /// One weighted reaching-definition candidate for a load.
 struct AliasCandidate {
@@ -78,17 +112,23 @@ struct LoadAliasInfo {
   std::vector<AliasCandidate> Candidates;
 };
 
-/// The per-function alias summary. Computed fresh per propagation run —
-/// it reads the whole module, and module-level facts (exclusivity) can
-/// change whenever any function changes, so memoizing it per function
-/// would go stale silently.
+/// The per-function alias summary, built per propagation run from the
+/// function's own IR and its module's AliasEnvironment. Memoizing it
+/// across module versions would go stale silently — exclusivity changes
+/// whenever any function's stores change — so freshness is the
+/// environment's job: callers pass the environment of the module version
+/// being analyzed.
 class AliasInfo {
 public:
   AliasInfo() = default;
 
-  /// Builds the summary for \p F against its current module. Pure and
-  /// read-only: safe to run concurrently for different functions of the
-  /// same (unmutated) module.
+  /// Builds the summary for \p F against \p Env, which must be the
+  /// environment of F's current module. Pure and read-only: safe to run
+  /// concurrently for different functions of the same (unmutated) module.
+  static AliasInfo analyze(const Function &F, const AliasEnvironment &Env);
+
+  /// One-shot form: builds a throwaway environment of F's module first,
+  /// a whole-module walk per call.
   static AliasInfo analyze(const Function &F);
 
   /// The summary for \p L, or null when the load must stay ⊥.
@@ -111,6 +151,10 @@ public:
   /// with its exclusivity bit, size, and initial value (hex-float).
   /// Content-addressed caches keyed on the function's IR must append
   /// this so a change in another function's stores invalidates F.
+  static std::string environmentText(const Function &F,
+                                     const AliasEnvironment &Env);
+
+  /// One-shot form, as for analyze().
   static std::string environmentText(const Function &F);
 
 private:

@@ -145,6 +145,9 @@ private:
   };
 
   void initState();
+  void reuseUnchanged(const Module &PrevModule,
+                      const ModuleVRPResult &Previous);
+  void seedTables(const Module &PrevModule, const ModuleVRPResult &Previous);
   bool markDirty(unsigned I);
   FunctionVRPResult analyzeOne(const Function &F,
                                const PropagationContext &Ctx);
@@ -201,6 +204,9 @@ private:
   bool DeadlineBlown = false;
 
   std::unique_ptr<CallGraph> CG;
+  /// The module's store census, rebuilt with CG: every function's alias
+  /// summary and cache key of this module version read it.
+  std::unique_ptr<AliasEnvironment> AliasEnv;
   std::vector<const Function *> Fns; ///< Module order.
   std::vector<FunctionVRPResult> Results; ///< By function index.
   std::vector<char> HasResult, Dirty, EverAnalyzed;
@@ -240,6 +246,7 @@ void InterprocDriver::initState() {
   ParamTable.clear();
   ReturnTable.clear();
   CG = std::make_unique<CallGraph>(M);
+  AliasEnv = std::make_unique<AliasEnvironment>(M);
 }
 
 bool InterprocDriver::markDirty(unsigned I) {
@@ -312,6 +319,7 @@ InterprocDriver::analyzeScc(const std::vector<unsigned> &Members,
     return It == ReturnTable.end() ? ValueRange::bottom() : It->second;
   };
   Ctx.Cache = Cache;
+  Ctx.Alias = AliasEnv.get();
 
   if (!Recursive) {
     for (unsigned I : Members) {
@@ -529,6 +537,7 @@ void InterprocDriver::runIntraprocedural() {
   Ctx.ParamRange = [](const Param *) { return ValueRange::bottom(); };
   Ctx.CallResultRange = [](const CallInst *) { return ValueRange::bottom(); };
   Ctx.Cache = Cache;
+  Ctx.Alias = AliasEnv.get();
   probeDeadline();
   if (DeadlineBlown) {
     degradeRemaining();
@@ -668,23 +677,39 @@ ModuleVRPResult InterprocDriver::run() {
 ModuleVRPResult
 InterprocDriver::runIncremental(const Module &PrevModule,
                                 const ModuleVRPResult &Previous) {
-  initState();
+  {
+    // Fingerprinting, rebinding and table seeding are the incremental
+    // mode's fixed cost; they get their own timer so telemetry separates
+    // it from the re-propagation of the cone.
+    telemetry::ScopedTimer T(telemetry::Timer::IncrementalRebind);
+    initState();
+    reuseUnchanged(PrevModule, Previous);
+    seedTables(PrevModule, Previous);
+  }
+  telemetry::ScopedTimer T(telemetry::Timer::Propagation);
+  sweepLoop();
+  return finalize();
+}
 
+void InterprocDriver::reuseUnchanged(const Module &PrevModule,
+                                     const ModuleVRPResult &Previous) {
   // With alias ranges on, a function's load results depend on module-
   // level facts outside its own IR text — writer exclusivity and global
   // initializers (analysis/AliasAnalysis.h) — so the fingerprint folds
   // in the alias environment: a store added in *another* function must
-  // invalidate this one.
-  auto fingerprint = [&](const Function &F) {
+  // invalidate this one. Each side is rendered against its own module's
+  // census, built once.
+  AliasEnvironment PrevEnv(PrevModule);
+  auto fingerprint = [&](const Function &F, const AliasEnvironment &Env) {
     return store::fnv1a64(irText(F) + (Opts.EnableAliasRanges
-                                           ? AliasInfo::environmentText(F)
+                                           ? AliasInfo::environmentText(F, Env)
                                            : std::string()));
   };
   std::map<std::string, const Function *> PrevByName;
   std::map<std::string, uint64_t> PrevHashByName;
   for (const auto &PF : PrevModule.functions()) {
     PrevByName.emplace(PF->name(), PF.get());
-    PrevHashByName.emplace(PF->name(), fingerprint(*PF));
+    PrevHashByName.emplace(PF->name(), fingerprint(*PF, PrevEnv));
   }
 
   // Changed-function detection by FNV-1a content hash of the canonical
@@ -702,7 +727,8 @@ InterprocDriver::runIncremental(const Module &PrevModule,
     const FunctionVRPResult *PR =
         It == PrevByName.end() ? nullptr : Previous.forFunction(It->second);
     bool Changed = true;
-    if (PR && !PR->Degraded && fingerprint(*F) == PrevHashByName[F->name()]) {
+    if (PR && !PR->Degraded &&
+        fingerprint(*F, *AliasEnv) == PrevHashByName[F->name()]) {
       FunctionVRPResult Rebound;
       if (PersistentCache::deserialize(PersistentCache::serialize(*PR), *F,
                                        Rebound)) {
@@ -716,7 +742,10 @@ InterprocDriver::runIncremental(const Module &PrevModule,
       markDirty(I);
   }
   telemetry::count(telemetry::Counter::IncrementalFunctionsReused, Reused);
+}
 
+void InterprocDriver::seedTables(const Module &PrevModule,
+                                 const ModuleVRPResult &Previous) {
   // Seed the interprocedural tables with the previous run's converged
   // state, translated to this module by function name and parameter
   // index. Table entries never carry symbolic bounds (sanitizeForCallee),
@@ -755,9 +784,6 @@ InterprocDriver::runIncremental(const Module &PrevModule,
       }
     }
   }
-
-  sweepLoop();
-  return finalize();
 }
 
 namespace {
@@ -815,7 +841,6 @@ ModuleVRPResult vrp::runModuleVRPIncremental(const Module &M,
                                              PersistentCache *PCache) {
   assert(!Opts.EnableCloning &&
          "incremental re-analysis never mutates the module");
-  telemetry::ScopedTimer T(telemetry::Timer::Propagation);
   unsigned Threads = ThreadPool::resolveThreadCount(Opts.Threads);
   // Never mutated: cloning is excluded above, and nothing else writes.
   Module &MM = const_cast<Module &>(M);

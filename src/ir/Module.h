@@ -17,6 +17,7 @@
 
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 namespace vrp {
@@ -27,7 +28,9 @@ public:
   Function *makeFunction(std::string Name, IRType ReturnType) {
     Functions.push_back(
         std::make_unique<Function>(this, std::move(Name), ReturnType));
-    return Functions.back().get();
+    Function *F = Functions.back().get();
+    ByName.emplace(F->name(), F); // First function of a name wins.
+    return F;
   }
 
   MemoryObject *makeMemoryObject(std::string Name, IRType ElemType,
@@ -44,11 +47,10 @@ public:
     return Objects;
   }
 
+  /// The first function created as \p Name, or null.
   Function *findFunction(const std::string &Name) const {
-    for (const auto &F : Functions)
-      if (F->name() == Name)
-        return F.get();
-    return nullptr;
+    auto It = ByName.find(Name);
+    return It == ByName.end() ? nullptr : It->second;
   }
 
   /// Initial value for a global scalar cell (index = MemoryObject id).
@@ -73,6 +75,9 @@ public:
 
 private:
   std::vector<std::unique_ptr<Function>> Functions;
+  /// Name -> first function of that name. Every function enters through
+  /// makeFunction (IRGen and cloning alike), which keeps this current.
+  std::unordered_map<std::string, Function *> ByName;
   std::vector<std::unique_ptr<MemoryObject>> Objects;
   std::vector<double> ScalarInits;
 };

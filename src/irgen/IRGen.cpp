@@ -158,10 +158,10 @@ std::unique_ptr<Module> IRGenerator::run() {
   }
 
   // Function shells first so calls resolve in any order.
-  for (const auto &FD : P.Functions)
+  for (const auto &FD : P.functions())
     M->makeFunction(FD->name(), lowerType(FD->returnType()));
 
-  for (const auto &FD : P.Functions)
+  for (const auto &FD : P.functions())
     lowerFunction(*FD);
 
   return Diags.hasErrors() ? nullptr : std::move(M);

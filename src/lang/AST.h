@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 namespace vrp {
@@ -464,16 +465,24 @@ private:
 class Program {
 public:
   std::vector<std::unique_ptr<DeclStmt>> Globals;
-  std::vector<std::unique_ptr<FunctionDecl>> Functions;
 
   /// All VarSymbols, owned here; stable addresses.
   std::vector<std::unique_ptr<VarSymbol>> Symbols;
 
+  /// Functions in declaration order.
+  const std::vector<std::unique_ptr<FunctionDecl>> &functions() const {
+    return Functions;
+  }
+
+  void addFunction(std::unique_ptr<FunctionDecl> F) {
+    ByName.emplace(F->name(), F.get()); // First declaration wins.
+    Functions.push_back(std::move(F));
+  }
+
+  /// The first function declared as \p Name, or null.
   FunctionDecl *findFunction(const std::string &Name) const {
-    for (const auto &F : Functions)
-      if (F->name() == Name)
-        return F.get();
-    return nullptr;
+    auto It = ByName.find(Name);
+    return It == ByName.end() ? nullptr : It->second;
   }
 
   VarSymbol *makeSymbol() {
@@ -482,6 +491,12 @@ public:
     S->Id = Symbols.size() - 1;
     return S;
   }
+
+private:
+  std::vector<std::unique_ptr<FunctionDecl>> Functions;
+  /// Name -> first declaration; Sema and IRGen resolve every call site
+  /// through it.
+  std::unordered_map<std::string, FunctionDecl *> ByName;
 };
 
 } // namespace vrp

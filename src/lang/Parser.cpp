@@ -92,7 +92,7 @@ std::unique_ptr<Program> Parser::parseProgram() {
   while (!at(TokenKind::Eof)) {
     if (at(TokenKind::KwFn)) {
       if (auto F = parseFunction())
-        P->Functions.push_back(std::move(F));
+        P->addFunction(std::move(F));
       continue;
     }
     if (at(TokenKind::KwVar)) {

@@ -97,16 +97,15 @@ void SemaVisitor::run() {
     checkGlobal(*G);
 
   // Check for duplicate function names before diving into bodies.
-  std::unordered_map<std::string, FunctionDecl *> Fns;
-  for (auto &F : P.Functions) {
-    if (!Fns.emplace(F->name(), F.get()).second)
+  for (const auto &F : P.functions()) {
+    if (P.findFunction(F->name()) != F.get())
       Diags.error(F->loc(), "redefinition of function '" + F->name() + "'");
     if (lookupIntrinsic(F->name()) != Intrinsic::NotIntrinsic)
       Diags.error(F->loc(),
                   "function name '" + F->name() + "' shadows an intrinsic");
   }
 
-  for (auto &F : P.Functions)
+  for (const auto &F : P.functions())
     checkFunction(*F);
   popScope();
 }

@@ -139,6 +139,8 @@ const char *timerName(Timer T) {
     return "verify";
   case Timer::Propagation:
     return "propagation";
+  case Timer::IncrementalRebind:
+    return "incremental_rebind";
   case Timer::Finalize:
     return "finalize";
   case Timer::NumTimers:

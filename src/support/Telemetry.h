@@ -136,6 +136,9 @@ enum class Timer : unsigned {
   AssertionInsertion,
   Verify,
   Propagation,
+  /// Incremental re-analysis's fixed cost: changed-function
+  /// fingerprinting, rebinding reused results, seeding the tables.
+  IncrementalRebind,
   Finalize,
 
   NumTimers ///< Sentinel; keep last.

@@ -64,6 +64,7 @@ struct FunctionVRPResult {
   double edgeFraction(const BasicBlock *From, const BasicBlock *To) const;
 };
 
+class AliasEnvironment;
 class AnalysisCache;
 
 /// Context hooks for interprocedural analysis (§3.7): parameter ranges via
@@ -80,6 +81,14 @@ struct PropagationContext {
   /// propagation call; must be thread-safe when functions are fanned out
   /// in parallel (analysis/AnalysisCache.h is).
   AnalysisCache *Cache = nullptr;
+
+  /// Optional store census of the function's module
+  /// (analysis/AliasAnalysis.h). When set, the engine's alias summary and
+  /// the persistent-cache key read it instead of walking the whole module
+  /// per function. Must be the census of the module version being
+  /// analyzed and outlive the propagation call; read-only, so one
+  /// environment serves parallel fan-outs.
+  const AliasEnvironment *Alias = nullptr;
 
   static PropagationContext intraprocedural();
 };

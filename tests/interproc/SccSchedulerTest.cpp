@@ -4,11 +4,13 @@
 //
 // The interprocedural SCC-wave scheduler: bitwise determinism across
 // thread counts, incremental re-analysis of exactly the invalidated cone,
-// dead-call-site jump-function hygiene, and the wave-boundary fault clock
-// for deadline degradation.
+// dead-call-site jump-function hygiene, the wave-boundary fault clock
+// for deadline degradation, and the module-level alias environment's
+// freshness across incremental runs and cloning.
 //
 //===----------------------------------------------------------------------===//
 
+#include "analysis/AliasAnalysis.h"
 #include "analysis/PersistentCache.h"
 #include "benchsuite/Synthetic.h"
 #include "driver/Pipeline.h"
@@ -73,6 +75,15 @@ std::set<std::string> namesOf(const std::vector<const Function *> &Fns) {
   for (const Function *F : Fns)
     Names.insert(F->name());
   return Names;
+}
+
+/// The first instruction of kind \p T in \p F (block order), or null.
+template <typename T> const T *firstOf(const Function &F) {
+  for (const auto &B : F.blocks())
+    for (const auto &I : B->instructions())
+      if (const auto *X = dyn_cast<T>(I.get()))
+        return X;
+  return nullptr;
 }
 
 TEST(SccSchedulerTest, SyntheticModuleAnalyzesEveryFunction) {
@@ -369,6 +380,101 @@ TEST(SccSchedulerTest, ContentHashShortCircuitPreservesBitwiseIdentity) {
   // to the cold run.
   ModuleVRPResult RCold = runModuleVRP(*Next->IR, interprocOpts());
   EXPECT_EQ(fingerprint(*Next->IR, RInc), fingerprint(*Next->IR, RCold));
+}
+
+TEST(SccSchedulerTest, StoreAddedElsewhereReanalyzesUnchangedLoader) {
+  // reader's IR text is identical in both versions, and nothing in the
+  // call graph links it to writer. Only the alias environment does: in
+  // the previous module nobody stores g, so reader's load sees exactly
+  // the initializer; in the next one writer stores g, so the load loses
+  // exclusivity and goes ⊥. The incremental fingerprint must catch that
+  // through the current module's environment.
+  const char *PrevSource = R"(
+    var g = 3;
+    fn reader() {
+      if (g > 10) { return 1; }
+      return 0;
+    }
+    fn writer(x) { return x + 1; }
+    fn main() { return reader() + writer(2); }
+  )";
+  const char *NextSource = R"(
+    var g = 3;
+    fn reader() {
+      if (g > 10) { return 1; }
+      return 0;
+    }
+    fn writer(x) { g = x * 100; return x + 1; }
+    fn main() { return reader() + writer(2); }
+  )";
+  auto Prev = compile(PrevSource);
+  auto Next = compile(NextSource);
+  ASSERT_TRUE(Prev && Next);
+
+  ModuleVRPResult RPrev = runModuleVRP(*Prev->IR, interprocOpts());
+  ModuleVRPResult RInc = runModuleVRPIncremental(*Next->IR, interprocOpts(),
+                                                 *Prev->IR, RPrev);
+  ModuleVRPResult RCold = runModuleVRP(*Next->IR, interprocOpts());
+
+  EXPECT_TRUE(namesOf(RInc.Reanalyzed).count("reader"));
+  EXPECT_TRUE(namesOf(RInc.Reanalyzed).count("writer"));
+
+  // The loader's prediction really changed: decided by its initializer
+  // before, handed to the heuristic fallback after.
+  const Function *PrevReader = Prev->IR->findFunction("reader");
+  const Function *NextReader = Next->IR->findFunction("reader");
+  const CondBrInst *PrevBr = firstOf<CondBrInst>(*PrevReader);
+  const CondBrInst *NextBr = firstOf<CondBrInst>(*NextReader);
+  ASSERT_TRUE(PrevBr && NextBr);
+  EXPECT_TRUE(RPrev.forFunction(PrevReader)->Branches.at(PrevBr).FromRanges);
+  EXPECT_FALSE(RInc.forFunction(NextReader)->Branches.at(NextBr).FromRanges);
+
+  EXPECT_EQ(fingerprint(*Next->IR, RInc), fingerprint(*Next->IR, RCold));
+}
+
+TEST(SccSchedulerTest, CloningRebuildsAliasEnvironment) {
+  // f is g's only writer until cloning splits its two divergent call
+  // sites: the clone duplicates the store, so after the rebuild neither
+  // copy is g's exclusive writer and the entry-block load of g (which
+  // precedes the store, so nothing forwards to it) must go ⊥. A census
+  // left over from before cloning would still call f exclusive and
+  // predict the branch from {0, 1, 50}.
+  const char *Source = R"(
+    var g = 0;
+    fn f(x) {
+      var r = 0;
+      if (g > 100) { r = 1; }
+      g = x;
+      return r;
+    }
+    fn main() { return f(1) + f(50); }
+  )";
+  auto C = compile(Source);
+  ASSERT_TRUE(C);
+  const Function *F = C->IR->findFunction("f");
+  const CondBrInst *Br = firstOf<CondBrInst>(*F);
+  ASSERT_NE(Br, nullptr);
+
+  // Without cloning f stays exclusive and the branch is range-decided.
+  ModuleVRPResult Plain = runModuleVRP(*C->IR, interprocOpts());
+  EXPECT_TRUE(Plain.forFunction(F)->Branches.at(Br).FromRanges);
+
+  VRPOptions Opts = interprocOpts();
+  Opts.EnableCloning = true;
+  ModuleVRPResult Cloned = runModuleVRP(*C->IR, Opts);
+  ASSERT_GT(Cloned.FunctionsCloned, 0u);
+  for (const auto &G : C->IR->functions()) {
+    if (G->name().rfind("f", 0) != 0)
+      continue; // f and its clones.
+    const LoadInst *L = firstOf<LoadInst>(*G);
+    ASSERT_NE(L, nullptr) << G->name();
+    EXPECT_EQ(AliasInfo::analyze(*G).infoFor(L), nullptr) << G->name();
+    const FunctionVRPResult *R = Cloned.forFunction(G.get());
+    ASSERT_NE(R, nullptr) << G->name();
+    EXPECT_TRUE(R->rangeOf(L).isBottom()) << G->name();
+    EXPECT_FALSE(R->Branches.at(firstOf<CondBrInst>(*G)).FromRanges)
+        << G->name();
+  }
 }
 
 } // namespace

@@ -27,14 +27,14 @@ void parseError(std::string_view Source, const char *What) {
 
 TEST(ParserTest, EmptyProgram) {
   auto P = parseOk("");
-  EXPECT_TRUE(P->Functions.empty());
+  EXPECT_TRUE(P->functions().empty());
   EXPECT_TRUE(P->Globals.empty());
 }
 
 TEST(ParserTest, FunctionWithParamsAndReturnType) {
   auto P = parseOk("fn f(a, b: float, c: int): float { return 0.0; }");
-  ASSERT_EQ(P->Functions.size(), 1u);
-  const FunctionDecl &F = *P->Functions[0];
+  ASSERT_EQ(P->functions().size(), 1u);
+  const FunctionDecl &F = *P->functions()[0];
   EXPECT_EQ(F.name(), "f");
   ASSERT_EQ(F.params().size(), 3u);
   EXPECT_EQ(F.params()[0].Type, ScalarType::Int); // Default.
@@ -57,7 +57,7 @@ TEST(ParserTest, GlobalDeclarations) {
 TEST(ParserTest, PrecedenceMultiplicationBindsTighter) {
   auto P = parseOk("fn f() { return 1 + 2 * 3; }");
   const auto *Ret = cast<ReturnStmt>(
-      cast<BlockStmt>(P->Functions[0]->body())->stmts()[0].get());
+      cast<BlockStmt>(P->functions()[0]->body())->stmts()[0].get());
   const auto *Add = cast<BinaryExpr>(Ret->value());
   EXPECT_EQ(Add->op(), BinaryOp::Add);
   const auto *Mul = cast<BinaryExpr>(Add->rhs());
@@ -68,7 +68,7 @@ TEST(ParserTest, PrecedenceComparisonOverLogical) {
   // a < b && c > d parses as (a<b) && (c>d).
   auto P = parseOk("fn f(a, b, c, d) { return a < b && c > d; }");
   const auto *Ret = cast<ReturnStmt>(
-      cast<BlockStmt>(P->Functions[0]->body())->stmts()[0].get());
+      cast<BlockStmt>(P->functions()[0]->body())->stmts()[0].get());
   const auto *And = cast<BinaryExpr>(Ret->value());
   EXPECT_EQ(And->op(), BinaryOp::LogicalAnd);
   EXPECT_EQ(cast<BinaryExpr>(And->lhs())->op(), BinaryOp::Lt);
@@ -78,7 +78,7 @@ TEST(ParserTest, PrecedenceComparisonOverLogical) {
 TEST(ParserTest, OrBindsLooserThanAnd) {
   auto P = parseOk("fn f(a, b, c) { return a || b && c; }");
   const auto *Ret = cast<ReturnStmt>(
-      cast<BlockStmt>(P->Functions[0]->body())->stmts()[0].get());
+      cast<BlockStmt>(P->functions()[0]->body())->stmts()[0].get());
   const auto *Or = cast<BinaryExpr>(Ret->value());
   EXPECT_EQ(Or->op(), BinaryOp::LogicalOr);
   EXPECT_EQ(cast<BinaryExpr>(Or->rhs())->op(), BinaryOp::LogicalAnd);
@@ -87,7 +87,7 @@ TEST(ParserTest, OrBindsLooserThanAnd) {
 TEST(ParserTest, UnaryOperatorsNest) {
   auto P = parseOk("fn f(a) { return --a; }"); // Double negation.
   const auto *Ret = cast<ReturnStmt>(
-      cast<BlockStmt>(P->Functions[0]->body())->stmts()[0].get());
+      cast<BlockStmt>(P->functions()[0]->body())->stmts()[0].get());
   const auto *Outer = cast<UnaryExpr>(Ret->value());
   EXPECT_EQ(Outer->op(), UnaryOp::Neg);
   EXPECT_EQ(cast<UnaryExpr>(Outer->sub())->op(), UnaryOp::Neg);
@@ -96,7 +96,7 @@ TEST(ParserTest, UnaryOperatorsNest) {
 TEST(ParserTest, ParenthesesOverridePrecedence) {
   auto P = parseOk("fn f() { return (1 + 2) * 3; }");
   const auto *Ret = cast<ReturnStmt>(
-      cast<BlockStmt>(P->Functions[0]->body())->stmts()[0].get());
+      cast<BlockStmt>(P->functions()[0]->body())->stmts()[0].get());
   const auto *Mul = cast<BinaryExpr>(Ret->value());
   EXPECT_EQ(Mul->op(), BinaryOp::Mul);
   EXPECT_EQ(cast<BinaryExpr>(Mul->lhs())->op(), BinaryOp::Add);
@@ -111,7 +111,7 @@ TEST(ParserTest, ElseIfChains) {
     }
   )");
   const auto *If = cast<IfStmt>(
-      cast<BlockStmt>(P->Functions[0]->body())->stmts()[0].get());
+      cast<BlockStmt>(P->functions()[0]->body())->stmts()[0].get());
   ASSERT_NE(If->elseStmt(), nullptr);
   EXPECT_TRUE(isa<IfStmt>(If->elseStmt()));
 }
@@ -119,7 +119,7 @@ TEST(ParserTest, ElseIfChains) {
 TEST(ParserTest, ForLoopClausesAreOptional) {
   auto P = parseOk("fn f() { for (;;) { break; } }");
   const auto *For = cast<ForStmt>(
-      cast<BlockStmt>(P->Functions[0]->body())->stmts()[0].get());
+      cast<BlockStmt>(P->functions()[0]->body())->stmts()[0].get());
   EXPECT_EQ(For->init(), nullptr);
   EXPECT_EQ(For->cond(), nullptr);
   EXPECT_EQ(For->step(), nullptr);
@@ -128,7 +128,7 @@ TEST(ParserTest, ForLoopClausesAreOptional) {
 TEST(ParserTest, ForLoopWithDeclInit) {
   auto P = parseOk("fn f() { for (var i = 0; i < 3; i = i + 1) { } }");
   const auto *For = cast<ForStmt>(
-      cast<BlockStmt>(P->Functions[0]->body())->stmts()[0].get());
+      cast<BlockStmt>(P->functions()[0]->body())->stmts()[0].get());
   EXPECT_TRUE(isa<DeclStmt>(For->init()));
   EXPECT_TRUE(isa<AssignStmt>(For->step()));
 }
@@ -138,15 +138,15 @@ TEST(ParserTest, ForLoopWithAssignmentInit) {
   auto P = parseOk(
       "fn f() { var i = 9; for (i = 0; i < 3; i = i + 1) { } return i; }");
   const auto *For = cast<ForStmt>(
-      cast<BlockStmt>(P->Functions[0]->body())->stmts()[1].get());
+      cast<BlockStmt>(P->functions()[0]->body())->stmts()[1].get());
   EXPECT_TRUE(isa<AssignStmt>(For->init()));
 }
 
 TEST(ParserTest, ArrayIndexAndCalls) {
   auto P = parseOk("fn f(i) { return g(a[i], h()) + a[i + 1]; }");
-  ASSERT_EQ(P->Functions.size(), 1u);
+  ASSERT_EQ(P->functions().size(), 1u);
   const auto *Ret = cast<ReturnStmt>(
-      cast<BlockStmt>(P->Functions[0]->body())->stmts()[0].get());
+      cast<BlockStmt>(P->functions()[0]->body())->stmts()[0].get());
   const auto *Add = cast<BinaryExpr>(Ret->value());
   const auto *Call = cast<CallExpr>(Add->lhs());
   EXPECT_EQ(Call->callee(), "g");
@@ -157,7 +157,7 @@ TEST(ParserTest, ArrayIndexAndCalls) {
 
 TEST(ParserTest, IntAndFloatKeywordsAsConversionCalls) {
   auto P = parseOk("fn f(x: float) { return int(x) + int(float(1)); }");
-  EXPECT_EQ(P->Functions.size(), 1u);
+  EXPECT_EQ(P->functions().size(), 1u);
 }
 
 TEST(ParserTest, AssignmentTargets) {
@@ -193,7 +193,7 @@ TEST(ParserTest, ErrorRecoveryFindsMultipleErrors) {
 TEST(ParserTest, TrueFalseAreIntLiterals) {
   auto P = parseOk("fn f() { return true; }");
   const auto *Ret = cast<ReturnStmt>(
-      cast<BlockStmt>(P->Functions[0]->body())->stmts()[0].get());
+      cast<BlockStmt>(P->functions()[0]->body())->stmts()[0].get());
   EXPECT_EQ(cast<IntLitExpr>(Ret->value())->value(), 1);
 }
 
@@ -206,7 +206,7 @@ TEST(ParserTest, CommentsDoNotDisturbStructure) {
     /* between functions */
     fn g() { return 0; }
   )");
-  EXPECT_EQ(P->Functions.size(), 2u);
+  EXPECT_EQ(P->functions().size(), 2u);
 }
 
 } // namespace

@@ -42,7 +42,7 @@ TEST(SemaTest, ResolvesLocalsParamsAndGlobals) {
       return l;
     }
   )");
-  const FunctionDecl &F = *P->Functions[0];
+  const FunctionDecl &F = *P->functions()[0];
   EXPECT_NE(F.params()[0].Symbol, nullptr);
   EXPECT_TRUE(F.params()[0].Symbol->IsParam);
   EXPECT_TRUE(P->Globals[0]->symbol()->IsGlobal);
@@ -94,7 +94,7 @@ TEST(SemaTest, ForwardFunctionReferences) {
 TEST(SemaTest, TypeInferenceFromInitializer) {
   auto P = semaOk("fn f() { var a = 1; var b = 2.5; var c: float = 3; "
                   "return a; }");
-  const auto &Stmts = cast<BlockStmt>(P->Functions[0]->body())->stmts();
+  const auto &Stmts = cast<BlockStmt>(P->functions()[0]->body())->stmts();
   EXPECT_EQ(cast<DeclStmt>(Stmts[0].get())->symbol()->Type,
             ScalarType::Int);
   EXPECT_EQ(cast<DeclStmt>(Stmts[1].get())->symbol()->Type,
@@ -118,14 +118,14 @@ TEST(SemaTest, IntPromotesToFloat) {
 TEST(SemaTest, MixedArithmeticIsFloat) {
   auto P = semaOk("fn f(): float { return 1 + 2.5; }");
   const auto *Ret = cast<ReturnStmt>(
-      cast<BlockStmt>(P->Functions[0]->body())->stmts()[0].get());
+      cast<BlockStmt>(P->functions()[0]->body())->stmts()[0].get());
   EXPECT_EQ(Ret->value()->type(), ScalarType::Float);
 }
 
 TEST(SemaTest, ComparisonYieldsInt) {
   auto P = semaOk("fn f(a: float, b: float) { return a < b; }");
   const auto *Ret = cast<ReturnStmt>(
-      cast<BlockStmt>(P->Functions[0]->body())->stmts()[0].get());
+      cast<BlockStmt>(P->functions()[0]->body())->stmts()[0].get());
   EXPECT_EQ(Ret->value()->type(), ScalarType::Int);
 }
 
