@@ -159,6 +159,24 @@ build/examples/predictor_tool --suite --stats=json \
 diff build/stats-full.json build/stats-resumed.json
 echo "kill-and-resume smoke: ok"
 
+# Flag-flip resume: a journal written under other analysis options must
+# never be reused. Journal a run with the FP and alias domains off,
+# resume it with the defaults, and require zero reused entries and stats
+# (above "counters") equal to the fresh default run above.
+build/examples/predictor_tool --suite --alias=off --fp-ranges=off \
+  --journal=build/journal-flip.jsonl >/dev/null
+build/examples/predictor_tool --suite --stats=json \
+  --journal=build/journal-flip.jsonl --resume > build/stats-flip.json
+flip_reused=$(grep -o '"journal_entries_reused": [0-9]*' build/stats-flip.json \
+  | grep -o '[0-9]*$')
+if [ "${flip_reused:-1}" -ne 0 ]; then
+  echo "flag-flip resume: reused $flip_reused entries journaled under" \
+       "other options" >&2
+  exit 1
+fi
+diff build/stats-full.json <(sed '/"counters"/,$d' build/stats-flip.json)
+echo "flag-flip resume: ok"
+
 # Warm-start: a second --cache run must restore every analysis from disk
 # (pcache_hits > 0, zero misses) and reproduce the cold run's stats
 # bitwise. Comparison stops at the "pcache" key: everything above it is
@@ -203,6 +221,16 @@ wait_for_socket() { # path present(1)/absent(0)
   echo "serving smoke: timed out waiting on $1 (present=$2)" >&2
   return 1
 }
+# A socket file is no proof of a listener: kill -9 leaves a stale one
+# behind, so a restarted daemon is ready only once it answers a ping.
+wait_for_answer() { # path
+  for _ in $(seq 1 100); do
+    build/examples/predictord --socket="$1" --ping >/dev/null 2>&1 && return 0
+    sleep 0.1
+  done
+  echo "serving smoke: no daemon answered on $1" >&2
+  return 1
+}
 build/examples/predictord --socket="$SOCK" --cache="$PCACHE" --threads=2 \
   2>/dev/null &
 SRV=$!
@@ -226,7 +254,7 @@ wait "$LOAD" 2>/dev/null || true
 build/examples/predictord --socket="$SOCK" --cache="$PCACHE" --threads=2 \
   2>/dev/null &
 SRV=$!
-wait_for_socket "$SOCK" 1
+wait_for_answer "$SOCK"
 build/examples/predictord --socket="$SOCK" --send=examples/vl/histogram.vl \
   > build/serve-restarted.txt
 diff build/serve-oneshot.txt build/serve-restarted.txt

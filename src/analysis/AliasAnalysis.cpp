@@ -9,10 +9,10 @@
 #include "ir/Function.h"
 #include "ir/Instruction.h"
 #include "ir/Module.h"
+#include "support/Json.h"
 
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
 #include <map>
 #include <sstream>
 
@@ -46,12 +46,6 @@ double overlapWeight(const Value *SIdx, const Value *LIdx,
 /// ObjectState construction exactly.
 double initialCellValue(const Module &M, const MemoryObject *O) {
   return O->isGlobal() && O->isScalarCell() ? M.scalarInit(O) : 0.0;
-}
-
-std::string hexDouble(double V) {
-  char Buf[64];
-  std::snprintf(Buf, sizeof(Buf), "%a", V);
-  return Buf;
 }
 
 } // namespace
@@ -165,6 +159,6 @@ std::string AliasInfo::environmentText(const Function &F,
   for (const auto &[Id, O] : Loaded)
     OS << "A" << Id << ":" << O->name() << ":"
        << (Env.exclusiveTo(O, &F) ? 1 : 0) << ":" << O->size() << ":"
-       << hexDouble(initialCellValue(M, O)) << "\n";
+       << json::hexDouble(initialCellValue(M, O)) << "\n";
   return OS.str();
 }

@@ -11,6 +11,7 @@
 #include "ir/IRPrinter.h"
 #include "ir/Instruction.h"
 #include "support/FaultInjection.h"
+#include "support/Json.h"
 #include "support/Telemetry.h"
 
 #include <algorithm>
@@ -23,29 +24,9 @@ using namespace vrp;
 
 namespace {
 
-/// Exact double rendering: "%a" hex floats round-trip bitwise through
-/// strtod (the same contract eval/Journal relies on).
-std::string hexDouble(double V) {
-  char Buf[64];
-  std::snprintf(Buf, sizeof(Buf), "%a", V);
-  return Buf;
-}
-
-bool parseDouble(const std::string &Tok, double &Out) {
-  if (Tok.empty())
-    return false;
-  char *End = nullptr;
-  Out = std::strtod(Tok.c_str(), &End);
-  return End && *End == '\0';
-}
-
-bool parseU64(const std::string &Tok, uint64_t &Out) {
-  if (Tok.empty())
-    return false;
-  char *End = nullptr;
-  Out = std::strtoull(Tok.c_str(), &End, 10);
-  return End && *End == '\0';
-}
+using json::hexDouble;
+using json::parseHexDouble;
+using json::parseUnsigned;
 
 bool parseI64(const std::string &Tok, int64_t &Out) {
   if (Tok.empty())
@@ -98,7 +79,7 @@ struct DecodeCtx {
     }
     if (Tok[0] == 'i') {
       uint64_t Id = 0;
-      if (!parseU64(Tok.substr(1), Id)) {
+      if (!parseUnsigned(Tok.substr(1), Id)) {
         Ok = false;
         return nullptr;
       }
@@ -111,7 +92,7 @@ struct DecodeCtx {
     }
     if (Tok[0] == 'p') {
       uint64_t Idx = 0;
-      if (!parseU64(Tok.substr(1), Idx) || Idx >= F.numParams()) {
+      if (!parseUnsigned(Tok.substr(1), Idx) || Idx >= F.numParams()) {
         Ok = false;
         return nullptr;
       }
@@ -127,7 +108,7 @@ struct DecodeCtx {
     }
     if (Tok[0] == 'c' && Tok[1] == 'f') {
       double V = 0;
-      if (!parseDouble(Tok.substr(2), V)) {
+      if (!parseHexDouble(Tok.substr(2), V)) {
         Ok = false;
         return nullptr;
       }
@@ -197,7 +178,7 @@ bool parseRange(std::istringstream &In, const DecodeCtx &Ctx,
   if (KindTok == "F") {
     std::string V;
     double F = 0;
-    if (!(In >> V) || !parseDouble(V, F))
+    if (!(In >> V) || !parseHexDouble(V, F))
       return false;
     Out = ValueRange::restored(ValueRange::Kind::FloatConst, F, DistKnown, {});
     return true;
@@ -206,8 +187,8 @@ bool parseRange(std::istringstream &In, const DecodeCtx &Ctx,
     uint64_t N = 0;
     std::string NaNTok;
     double NaNMass = 0;
-    if (!(In >> Tok) || !parseU64(Tok, N) || N > 4096 || !(In >> NaNTok) ||
-        !parseDouble(NaNTok, NaNMass))
+    if (!(In >> Tok) || !parseUnsigned(Tok, N) || N > 4096 || !(In >> NaNTok) ||
+        !parseHexDouble(NaNTok, NaNMass))
       return false;
     std::vector<FPInterval> Subs;
     Subs.reserve(N);
@@ -215,8 +196,8 @@ bool parseRange(std::istringstream &In, const DecodeCtx &Ctx,
       std::string ProbTok, LoTok, HiTok;
       FPInterval S;
       if (!(In >> ProbTok >> LoTok >> HiTok) ||
-          !parseDouble(ProbTok, S.Prob) || !parseDouble(LoTok, S.Lo) ||
-          !parseDouble(HiTok, S.Hi))
+          !parseHexDouble(ProbTok, S.Prob) || !parseHexDouble(LoTok, S.Lo) ||
+          !parseHexDouble(HiTok, S.Hi))
         return false;
       Subs.push_back(S);
     }
@@ -226,7 +207,7 @@ bool parseRange(std::istringstream &In, const DecodeCtx &Ctx,
   if (KindTok != "R")
     return false;
   uint64_t N = 0;
-  if (!(In >> Tok) || !parseU64(Tok, N) || N > 4096)
+  if (!(In >> Tok) || !parseUnsigned(Tok, N) || N > 4096)
     return false;
   std::vector<SubRange> Subs;
   Subs.reserve(N);
@@ -237,7 +218,7 @@ bool parseRange(std::istringstream &In, const DecodeCtx &Ctx,
       return false;
     SubRange S;
     bool OkLo = false, OkHi = false;
-    if (!parseDouble(ProbTok, S.Prob))
+    if (!parseHexDouble(ProbTok, S.Prob))
       return false;
     S.Lo.Sym = Ctx.decode(LoSymTok, OkLo);
     S.Hi.Sym = Ctx.decode(HiSymTok, OkHi);
@@ -256,25 +237,6 @@ std::string fnvHex(uint64_t H) {
   std::snprintf(Buf, sizeof(Buf), "%016llx",
                 static_cast<unsigned long long>(H));
   return Buf;
-}
-
-/// The result-affecting VRPOptions fields (docs/CACHE.md documents the
-/// recipe). Threads is excluded (results are thread-count invariant by
-/// contract); Audit/Trace/InterpreterStepLimit never change a
-/// propagation result; the budget knobs that can degrade a function ARE
-/// included — a tighter budget must not be satisfied from results a
-/// looser one computed.
-std::string optionsText(const VRPOptions &O) {
-  std::ostringstream OS;
-  OS << O.MaxSubRanges << "|" << O.EnableSymbolicRanges << "|"
-     << O.EnableDerivation << "|" << O.EnableAssertions << "|"
-     << O.WidenThreshold << "|" << O.BranchUpdateLimit << "|"
-     << O.FlowVisitLimit << "|" << O.DerivationRetryLimit << "|"
-     << hexDouble(O.AssumedSymbolicCount) << "|" << O.Interprocedural << "|"
-     << O.EnableCloning << "|" << hexDouble(O.ProbTolerance) << "|"
-     << O.Budget.PropagationStepLimit << "|" << O.Budget.DeadlineMs << "|"
-     << O.EnableFPRanges << "|" << O.EnableAliasRanges;
-  return OS.str();
 }
 
 /// The resolved interprocedural context, exactly as the engine would see
@@ -332,7 +294,7 @@ std::string PersistentCache::makeKey(const Function &F, const VRPOptions &Opts,
   std::ostringstream IR;
   printFunction(F, IR);
   return fnvHex(store::fnv1a64(IR.str())) + "-" +
-         fnvHex(store::fnv1a64(optionsText(Opts))) + "-" +
+         fnvHex(store::fnv1a64(resultIdentity(Opts))) + "-" +
          fnvHex(store::fnv1a64(contextText(F, Ctx, Opts)));
 }
 
@@ -412,17 +374,18 @@ bool PersistentCache::deserialize(const std::string &Payload,
   if (!nextLine("blockprob "))
     return false;
   uint64_t N = 0;
-  if (!parseU64(Line.substr(10), N) || N != F.numBlocks())
+  if (!parseUnsigned(Line.substr(10), N) || N != F.numBlocks())
     return false;
   Out.BlockProb.reserve(N);
   for (uint64_t I = 0; I < N; ++I) {
     double P = 0;
-    if (!std::getline(In, Line) || !parseDouble(Line, P))
+    if (!std::getline(In, Line) || !parseHexDouble(Line, P))
       return false;
     Out.BlockProb.push_back(P);
   }
 
-  if (!nextLine("ranges ") || !parseU64(Line.substr(7), N) || N > (1u << 24))
+  if (!nextLine("ranges ") || !parseUnsigned(Line.substr(7), N) ||
+      N > (1u << 24))
     return false;
   for (uint64_t I = 0; I < N; ++I) {
     if (!std::getline(In, Line))
@@ -440,7 +403,7 @@ bool PersistentCache::deserialize(const std::string &Payload,
     Out.Ranges.emplace(V, std::move(VR));
   }
 
-  if (!nextLine("branches ") || !parseU64(Line.substr(9), N) ||
+  if (!nextLine("branches ") || !parseUnsigned(Line.substr(9), N) ||
       N > (1u << 24))
     return false;
   for (uint64_t I = 0; I < N; ++I) {
@@ -460,7 +423,7 @@ bool PersistentCache::deserialize(const std::string &Payload,
         Reachable > 1)
       return false;
     BranchPrediction Pred;
-    if (!parseDouble(ProbTok, Pred.ProbTrue))
+    if (!parseHexDouble(ProbTok, Pred.ProbTrue))
       return false;
     Pred.FromRanges = FromRanges == 1;
     Pred.Reachable = Reachable == 1;

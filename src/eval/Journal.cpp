@@ -2,12 +2,9 @@
 
 #include "eval/Journal.h"
 
+#include "support/Json.h"
 #include "support/Telemetry.h"
 
-#include <cinttypes>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <sstream>
 
 using namespace vrp;
@@ -15,191 +12,24 @@ using namespace vrp::journal;
 
 namespace {
 
-constexpr int FormatVersion = 2;
+// Version 3: the fingerprint became evaluationIdentity() (it had missed
+// the FP/alias switches and the deadline), so a v2 journal must not match.
+constexpr int FormatVersion = 3;
 
-//===----------------------------------------------------------------------===//
-// Writing
-//===----------------------------------------------------------------------===//
-
-std::string escape(const std::string &S) {
-  std::string Out;
-  Out.reserve(S.size() + 2);
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    case '\r':
-      Out += "\\r";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += C;
-      }
-    }
-  }
-  return Out;
-}
-
-/// Doubles travel as hex-float strings ("0x1.8p-1"): printf %a / strtod
-/// round-trips every finite double exactly, which the bit-identical
-/// resume guarantee depends on.
-std::string hexFloat(double V) {
-  char Buf[48];
-  std::snprintf(Buf, sizeof(Buf), "%a", V);
-  return Buf;
-}
+using json::Cursor;
+using json::escape;
 
 void writeCdf(std::ostringstream &OS, const ErrorCdf &C) {
   auto S = C.rawState();
   OS << '[';
   for (size_t I = 0; I < S.size(); ++I)
-    OS << (I ? "," : "") << '"' << hexFloat(S[I]) << '"';
+    OS << (I ? "," : "") << '"' << json::hexDouble(S[I]) << '"';
   OS << ']';
 }
 
-//===----------------------------------------------------------------------===//
-// Parsing: a strict cursor over the exact format serializeEvaluation
+// Parsing: the strict cursor over the exact format serializeEvaluation
 // emits. Any deviation fails the line, which the loader treats as a torn
 // write and skips.
-//===----------------------------------------------------------------------===//
-
-class Cursor {
-public:
-  explicit Cursor(const std::string &S) : P(S.c_str()), End(P + S.size()) {}
-
-  bool failed() const { return Fail; }
-  bool done() const { return Fail || P == End; }
-
-  /// Consumes the exact literal \p S.
-  bool lit(const char *S) {
-    size_t N = std::strlen(S);
-    if (Fail || static_cast<size_t>(End - P) < N ||
-        std::memcmp(P, S, N) != 0)
-      return fail();
-    P += N;
-    return true;
-  }
-
-  bool str(std::string &Out) {
-    Out.clear();
-    if (Fail || P == End || *P != '"')
-      return fail();
-    ++P;
-    while (P != End && *P != '"') {
-      if (*P == '\\') {
-        if (++P == End)
-          return fail();
-        switch (*P) {
-        case '"':
-          Out += '"';
-          break;
-        case '\\':
-          Out += '\\';
-          break;
-        case 'n':
-          Out += '\n';
-          break;
-        case 't':
-          Out += '\t';
-          break;
-        case 'r':
-          Out += '\r';
-          break;
-        case 'u': {
-          if (End - P < 5)
-            return fail();
-          unsigned V = 0;
-          if (std::sscanf(P + 1, "%4x", &V) != 1)
-            return fail();
-          Out += static_cast<char>(V);
-          P += 4;
-          break;
-        }
-        default:
-          return fail();
-        }
-        ++P;
-      } else {
-        Out += *P++;
-      }
-    }
-    if (P == End)
-      return fail();
-    ++P; // closing quote
-    return true;
-  }
-
-  bool u64(uint64_t &Out) {
-    if (Fail || P == End)
-      return fail();
-    char *EndPtr = nullptr;
-    Out = std::strtoull(P, &EndPtr, 10);
-    if (EndPtr == P)
-      return fail();
-    P = EndPtr;
-    return true;
-  }
-
-  bool u32(unsigned &Out) {
-    uint64_t V = 0;
-    if (!u64(V))
-      return false;
-    Out = static_cast<unsigned>(V);
-    return true;
-  }
-
-  bool boolean(bool &Out) {
-    if (Fail || P == End)
-      return fail();
-    if (*P == 't' && lit("true")) {
-      Out = true;
-      return true;
-    }
-    if (*P == 'f' && lit("false")) {
-      Out = false;
-      return true;
-    }
-    return fail();
-  }
-
-  bool hexDouble(double &Out) {
-    std::string S;
-    if (!str(S))
-      return false;
-    char *EndPtr = nullptr;
-    Out = std::strtod(S.c_str(), &EndPtr);
-    if (EndPtr == S.c_str() || *EndPtr != '\0')
-      return fail();
-    return true;
-  }
-
-  /// True when the next character is \p C (not consumed).
-  bool peek(char C) const { return !Fail && P != End && *P == C; }
-
-private:
-  bool fail() {
-    Fail = true;
-    return false;
-  }
-
-  const char *P;
-  const char *End;
-  bool Fail = false;
-};
 
 bool parseCdf(Cursor &C, ErrorCdf &Out) {
   std::array<double, ErrorCdf::NumBuckets + 2> S{};
@@ -233,16 +63,7 @@ std::string journal::fingerprint(
   OS << "v" << FormatVersion << ";programs=";
   for (const BenchmarkProgram *P : Programs)
     OS << P->Name << ",";
-  OS << ";subranges=" << Opts.MaxSubRanges << ";sym=" << Opts.EnableSymbolicRanges
-     << ";derive=" << Opts.EnableDerivation << ";assert=" << Opts.EnableAssertions
-     << ";widen=" << Opts.WidenThreshold << ";brlimit=" << Opts.BranchUpdateLimit
-     << ";flowlimit=" << Opts.FlowVisitLimit
-     << ";retrylimit=" << Opts.DerivationRetryLimit
-     << ";symcount=" << hexFloat(Opts.AssumedSymbolicCount)
-     << ";interproc=" << Opts.Interprocedural << ";clone=" << Opts.EnableCloning
-     << ";steplimit=" << Opts.Budget.PropagationStepLimit
-     << ";interplimit=" << Opts.Budget.InterpreterStepLimit
-     << ";audit=" << Opts.Audit << ";tol=" << hexFloat(Opts.ProbTolerance);
+  OS << ";options=" << evaluationIdentity(Opts);
   return OS.str();
 }
 
@@ -265,7 +86,8 @@ std::string journal::serializeEvaluation(const BenchmarkEvaluation &Eval) {
   OS << ",\"ref_steps\":" << Eval.RefSteps;
   OS << ",\"static_branches\":" << Eval.StaticBranches;
   OS << ",\"executed_branches\":" << Eval.ExecutedBranches;
-  OS << ",\"range_fraction\":\"" << hexFloat(Eval.VRPRangeFraction) << "\"";
+  OS << ",\"range_fraction\":\"" << json::hexDouble(Eval.VRPRangeFraction)
+     << "\"";
   OS << ",\"audit_checks\":" << Eval.AuditChecks;
   OS << ",\"soundness_violations\":" << Eval.SoundnessViolations;
   OS << ",\"quarantined_functions\":" << Eval.QuarantinedFunctions;
@@ -336,7 +158,7 @@ bool journal::deserializeEvaluation(const std::string &Line,
   C.lit(",\"retried\":");
   C.boolean(E.Retried);
   C.lit(",\"ref_steps\":");
-  C.u64(E.RefSteps);
+  C.uint(E.RefSteps);
   C.lit(",\"static_branches\":");
   C.u32(E.StaticBranches);
   C.lit(",\"executed_branches\":");
@@ -344,9 +166,9 @@ bool journal::deserializeEvaluation(const std::string &Line,
   C.lit(",\"range_fraction\":");
   C.hexDouble(E.VRPRangeFraction);
   C.lit(",\"audit_checks\":");
-  C.u64(E.AuditChecks);
+  C.uint(E.AuditChecks);
   C.lit(",\"soundness_violations\":");
-  C.u64(E.SoundnessViolations);
+  C.uint(E.SoundnessViolations);
   C.lit(",\"quarantined_functions\":");
   C.u32(E.QuarantinedFunctions);
   C.lit(",\"quarantines\":[");
@@ -363,7 +185,7 @@ bool journal::deserializeEvaluation(const std::string &Line,
     C.lit(",");
     C.str(R.Detail);
     C.lit(",");
-    C.u64(R.Violations);
+    C.uint(R.Violations);
     C.lit("]");
     E.Quarantines.push_back(std::move(R));
     if (C.peek(','))
@@ -372,19 +194,19 @@ bool journal::deserializeEvaluation(const std::string &Line,
   C.lit("]");
   VRPStats &V = E.VRP;
   C.lit(",\"vrp\":[");
-  C.u64(V.Ranges.ExprEvaluations);
+  C.uint(V.Ranges.ExprEvaluations);
   C.lit(",");
-  C.u64(V.Ranges.SubOps);
+  C.uint(V.Ranges.SubOps);
   C.lit(",");
-  C.u64(V.Ranges.PhiEvaluations);
+  C.uint(V.Ranges.PhiEvaluations);
   C.lit(",");
-  C.u64(V.Ranges.BranchEvaluations);
+  C.uint(V.Ranges.BranchEvaluations);
   C.lit(",");
-  C.u64(V.Ranges.DerivationsTried);
+  C.uint(V.Ranges.DerivationsTried);
   C.lit(",");
-  C.u64(V.Ranges.DerivationsMatched);
+  C.uint(V.Ranges.DerivationsMatched);
   C.lit(",");
-  C.u64(V.Ranges.Widenings);
+  C.uint(V.Ranges.Widenings);
   C.lit(",");
   C.u32(V.FunctionsAnalyzed);
   C.lit(",");
@@ -398,18 +220,18 @@ bool journal::deserializeEvaluation(const std::string &Line,
   C.lit(",");
   C.u32(V.FunctionsReanalyzed);
   C.lit(",");
-  C.u64(V.RangePredictedBranches);
+  C.uint(V.RangePredictedBranches);
   C.lit(",");
-  C.u64(V.HeuristicBranches);
+  C.uint(V.HeuristicBranches);
   C.lit(",");
-  C.u64(V.UnreachableBranches);
+  C.uint(V.UnreachableBranches);
   C.lit("]");
   C.lit(",\"cache\":[");
-  C.u64(E.Cache.Hits);
+  C.uint(E.Cache.Hits);
   C.lit(",");
-  C.u64(E.Cache.Misses);
+  C.uint(E.Cache.Misses);
   C.lit(",");
-  C.u64(E.Cache.Invalidations);
+  C.uint(E.Cache.Invalidations);
   C.lit("]");
   C.lit(",\"curves\":[");
   while (C.peek('[')) {
@@ -429,7 +251,7 @@ bool journal::deserializeEvaluation(const std::string &Line,
       C.lit(",");
   }
   C.lit("]}");
-  if (C.failed() || !C.done())
+  if (!C.atEnd())
     return false;
   Out = std::move(E);
   return true;

@@ -41,10 +41,9 @@ namespace vrp {
 namespace journal {
 
 /// The header fingerprint: a readable rendering of everything that must
-/// match for journaled results to be reusable — the benchmark list and
-/// each deterministic analysis option. Threads is excluded (results are
-/// identical at any thread count by design), as is the inherently
-/// nondeterministic wall-clock deadline budget.
+/// match for journaled results to be reusable — the format version, the
+/// benchmark list and evaluationIdentity(Opts) (vrp/Options.h), the same
+/// option key the persistent cache and predictord's memo use.
 std::string fingerprint(const std::vector<const BenchmarkProgram *> &Programs,
                         const VRPOptions &Opts);
 

@@ -7,8 +7,7 @@
 #include "eval/Reporting.h"
 
 #include "support/Format.h"
-
-#include <cstdio>
+#include "support/Json.h"
 
 using namespace vrp;
 
@@ -46,24 +45,7 @@ void vrp::printCdfTable(const std::map<PredictorKind, ErrorCdf> &Curves,
 
 namespace {
 
-/// Minimal JSON string escaping (benchmark names are identifiers, but a
-/// malformed-corpus name must not break the report).
-std::string jsonEscape(const std::string &S) {
-  std::string Out;
-  Out.reserve(S.size());
-  for (char C : S) {
-    if (C == '"' || C == '\\')
-      Out += '\\';
-    if (static_cast<unsigned char>(C) < 0x20) {
-      char Buf[8];
-      std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-      Out += Buf;
-      continue;
-    }
-    Out += C;
-  }
-  return Out;
-}
+using json::escape;
 
 void writeVrpStats(const VRPStats &S, const char *Indent, std::ostream &OS) {
   OS << "{\n";
@@ -107,7 +89,7 @@ void vrp::writeSuiteStatsJson(const SuiteEvaluation &Suite,
   for (size_t I = 0; I < Suite.Benchmarks.size(); ++I) {
     const BenchmarkEvaluation &B = Suite.Benchmarks[I];
     OS << "    {\n"
-       << "      \"name\": \"" << jsonEscape(B.Name) << "\",\n"
+       << "      \"name\": \"" << escape(B.Name) << "\",\n"
        << "      \"ok\": " << (B.Ok ? "true" : "false") << ",\n"
        << "      \"degraded_functions\": " << B.DegradedFunctions << ",\n"
        << "      \"partial_profile\": "
@@ -147,8 +129,8 @@ void vrp::writeSuiteStatsJson(const SuiteEvaluation &Suite,
   for (size_t I = 0; I < Suite.Quarantines.size(); ++I) {
     const quarantine::Record &Q = Suite.Quarantines[I];
     OS << (I == 0 ? "\n" : ",\n") << "    {\"benchmark\": \""
-       << jsonEscape(Q.Context) << "\", \"function\": \""
-       << jsonEscape(Q.Function) << "\", \"reason\": \""
+       << escape(Q.Context) << "\", \"function\": \""
+       << escape(Q.Function) << "\", \"reason\": \""
        << quarantine::reasonName(Q.Why)
        << "\", \"violations\": " << Q.Violations << "}";
   }

@@ -11,10 +11,10 @@
 #include "driver/Pipeline.h"
 #include "ir/IRPrinter.h"
 #include "support/FaultInjection.h"
+#include "support/Json.h"
 #include "support/ResultStore.h"
 
 #include <chrono>
-#include <cstdio>
 #include <unistd.h>
 #include <exception>
 #include <sstream>
@@ -31,14 +31,6 @@ bool knownPredictor(const std::string &Name) {
          Name == "random";
 }
 
-/// Hex-float rendering, bitwise round-trippable — the same discipline
-/// eval/Journal uses for checkpointed doubles.
-std::string hexFloat(double V) {
-  char Buf[64];
-  std::snprintf(Buf, sizeof(Buf), "%a", V);
-  return Buf;
-}
-
 /// A failure is worth one retry when it looks transient: an injected
 /// fault or an escaped exception (Internal), not a deterministic
 /// rejection of the input (parse/verify) or an exhausted budget —
@@ -52,21 +44,37 @@ bool transientFailure(const Response &R) {
          R.Site != "irgen";
 }
 
-uint64_t memoKey(const Request &R, bool ForceDegrade) {
-  std::string Material = R.Method;
-  Material += '\0';
-  Material += R.Predictor;
-  Material += '\0';
-  Material += R.DumpRanges ? '1' : '0';
-  Material += ForceDegrade ? '1' : '0';
-  Material += '\0';
-  Material += std::to_string(R.StepLimit);
-  Material += '\0';
-  Material += R.Source;
-  return store::fnv1a64(Material);
+} // namespace
+
+VRPOptions serve::requestOptions(const Request &Req,
+                                 const ServiceConfig &Config,
+                                 bool ForceDegrade) {
+  VRPOptions Opts;
+  Opts.Interprocedural = true;
+  Opts.Threads = Config.AnalysisThreads;
+  // Overload degradation rides the existing budget machinery: a one-step
+  // limit makes every analyzed function exhaust immediately and take the
+  // Ball–Larus fallback, exactly as a blown --budget does. A
+  // persistent-cache hit still restores the full result — a warm entry
+  // costs nothing, so overload never discards it.
+  Opts.Budget.PropagationStepLimit = ForceDegrade ? 1 : Req.StepLimit;
+  Opts.Budget.DeadlineMs =
+      Req.DeadlineMs != 0 ? Req.DeadlineMs : Config.DefaultDeadlineMs;
+  return Opts;
 }
 
-} // namespace
+uint64_t serve::memoKey(const Request &Req, const VRPOptions &Opts) {
+  std::string Material = Req.Method;
+  Material += '\0';
+  Material += Req.Predictor;
+  Material += '\0';
+  Material += Req.DumpRanges ? '1' : '0';
+  Material += '\0';
+  Material += evaluationIdentity(Opts);
+  Material += '\0';
+  Material += Req.Source;
+  return store::fnv1a64(Material);
+}
 
 std::unique_ptr<Service> Service::create(const ServiceConfig &Config,
                                          Status *Why) {
@@ -131,10 +139,9 @@ Response Service::handle(const Request &Req, bool ForceDegrade) {
   // Memoization covers only deterministic requests: a wall-clock
   // deadline makes the degradation pattern timing-dependent, so those
   // always recompute.
-  uint64_t EffectiveDeadline =
-      Req.DeadlineMs != 0 ? Req.DeadlineMs : Config.DefaultDeadlineMs;
-  bool Memoizable = Config.ResponseMemo && EffectiveDeadline == 0;
-  uint64_t Key = Memoizable ? memoKey(Req, ForceDegrade) : 0;
+  VRPOptions Opts = requestOptions(Req, Config, ForceDegrade);
+  bool Memoizable = Config.ResponseMemo && Opts.Budget.DeadlineMs == 0;
+  uint64_t Key = Memoizable ? memoKey(Req, Opts) : 0;
   if (Memoizable) {
     std::lock_guard<std::mutex> Lock(MemoM);
     auto It = Memo.find(Key);
@@ -154,7 +161,7 @@ Response Service::handle(const Request &Req, bool ForceDegrade) {
   std::string Scope = "serve:" + std::to_string(Seq.fetch_add(1));
   fault::ScopedKey ScopeKey(Scope);
 
-  R = attempt(Req, ForceDegrade);
+  R = attempt(Req, Opts);
   if (transientFailure(R)) {
     // One supervised retry with backoff, mirroring eval/SuiteRunner's
     // worker supervision. Deterministic failures never reach here.
@@ -162,7 +169,7 @@ Response Service::handle(const Request &Req, bool ForceDegrade) {
     if (PCache)
       PCache->discardScope();
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    R = attempt(Req, ForceDegrade);
+    R = attempt(Req, Opts);
   }
   R.Id = Req.Id;
 
@@ -186,26 +193,12 @@ Response Service::handle(const Request &Req, bool ForceDegrade) {
   return R;
 }
 
-Response Service::attempt(const Request &Req, bool ForceDegrade) {
+Response Service::attempt(const Request &Req, const VRPOptions &Opts) {
   Response R;
   R.Id = Req.Id;
   try {
     if (fault::shouldFail("worker"))
       throw std::runtime_error("injected worker fault");
-
-    VRPOptions Opts;
-    Opts.Interprocedural = true;
-    Opts.Threads = Config.AnalysisThreads;
-    Opts.Budget.PropagationStepLimit = Req.StepLimit;
-    Opts.Budget.DeadlineMs =
-        Req.DeadlineMs != 0 ? Req.DeadlineMs : Config.DefaultDeadlineMs;
-    // Overload degradation rides the existing budget machinery: a
-    // one-step limit makes every analyzed function exhaust immediately
-    // and take the Ball–Larus fallback, exactly as a blown --budget
-    // does. A persistent-cache hit still restores the full result — a
-    // warm entry costs nothing, so overload never discards it.
-    if (ForceDegrade)
-      Opts.Budget.PropagationStepLimit = 1;
 
     DiagnosticEngine Diags;
     auto Compiled = compileProgram(Req.Source, Diags, Opts);
@@ -247,7 +240,7 @@ Response Service::attempt(const Request &Req, bool ForceDegrade) {
           Any = true;
       if (!Any)
         continue;
-      OS << (FirstFn ? "" : ",") << "{\"name\":\"" << jsonEscape(F->name())
+      OS << (FirstFn ? "" : ",") << "{\"name\":\"" << json::escape(F->name())
          << "\",\"degraded\":" << (FR->Degraded ? "true" : "false")
          << ",\"branches\":[";
       FirstFn = false;
@@ -280,11 +273,11 @@ Response Service::attempt(const Request &Req, bool ForceDegrade) {
           SourceTag = Req.Predictor;
         }
         OS << (FirstBr ? "" : ",") << "{\"line\":\""
-           << jsonEscape(CBr->loc().str()) << "\",\"cond\":\""
-           << jsonEscape(
+           << json::escape(CBr->loc().str()) << "\",\"cond\":\""
+           << json::escape(
                   instructionToString(*cast<Instruction>(CBr->cond())))
-           << "\",\"prob\":\"" << hexFloat(Prob) << "\",\"source\":\""
-           << jsonEscape(SourceTag) << "\"}";
+           << "\",\"prob\":\"" << json::hexDouble(Prob) << "\",\"source\":\""
+           << json::escape(SourceTag) << "\"}";
         FirstBr = false;
       }
       OS << "]}";

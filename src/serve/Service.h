@@ -38,6 +38,7 @@
 
 #include "serve/Protocol.h"
 #include "support/Status.h"
+#include "vrp/Options.h"
 
 #include <atomic>
 #include <cstdint>
@@ -64,6 +65,17 @@ struct ServiceConfig {
   /// Propagation fan-out per request (VRPOptions::Threads).
   unsigned AnalysisThreads = 1;
 };
+
+/// The VRPOptions \p Req runs under. \p ForceDegrade is the admission
+/// controller's overload verdict: a one-step propagation budget.
+VRPOptions requestOptions(const Request &Req, const ServiceConfig &Config,
+                          bool ForceDegrade);
+
+/// The response memo's key: method, predictor, the ranges flag,
+/// evaluationIdentity(\p Opts) and the source. Keying on the options the
+/// request runs under (not on request fields) keeps the memo from
+/// serving a response computed under other semantics.
+uint64_t memoKey(const Request &Req, const VRPOptions &Opts);
 
 /// Monotonic service counters (surfaced by `stats`).
 struct ServiceCounters {
@@ -98,7 +110,7 @@ public:
 
 private:
   Service() = default;
-  Response attempt(const Request &Req, bool ForceDegrade);
+  Response attempt(const Request &Req, const VRPOptions &Opts);
 
   ServiceConfig Config;
   std::unique_ptr<PersistentCache> PCache;
@@ -111,8 +123,7 @@ private:
   std::atomic<uint64_t> Seq{0}; ///< Private per-request scope numbering.
 
   mutable std::mutex MemoM;
-  /// Memo key (method/predictor/flags/source fingerprint) -> the exact
-  /// response served before, minus the echoed id.
+  /// memoKey() -> the exact response served before, minus the echoed id.
   std::unordered_map<uint64_t, Response> Memo;
 };
 

@@ -16,6 +16,7 @@
 #define VRP_VRP_OPTIONS_H
 
 #include <cstdint>
+#include <string>
 
 namespace vrp {
 
@@ -149,6 +150,24 @@ struct VRPOptions {
   /// must outlive the analysis. Null = no tracing.
   trace::TraceSink *Trace = nullptr;
 };
+
+/// Every VRPOptions field that can change a propagation result, rendered
+/// as text: the one option key behind the persistent cache's key, the
+/// suite journal's fingerprint and predictord's response memo. Threads
+/// is left out (results are thread-count invariant by contract), as is
+/// Trace (observation only) and the two fields that only change what an
+/// evaluation does with the result (see evaluationIdentity). The budget
+/// knobs that can degrade a function ARE included, the wall-clock
+/// deadline among them: a tighter budget must not be satisfied from
+/// results a looser one computed. A field added to VRPOptions goes here
+/// or on an exempt list in tests/vrp/OptionIdentityTest.cpp, whose size
+/// check fails until the field is placed.
+std::string resultIdentity(const VRPOptions &O);
+
+/// resultIdentity() plus the fields that change an *evaluation* but not
+/// the propagation result: Audit (quarantines convicted functions) and
+/// Budget.InterpreterStepLimit (partial reference profiles).
+std::string evaluationIdentity(const VRPOptions &O);
 
 /// Counters behind the paper's Figures 5 and 6 (algorithm efficiency).
 struct RangeStats {

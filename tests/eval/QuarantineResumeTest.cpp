@@ -285,6 +285,57 @@ TEST_F(QuarantineResumeTest, LoaderSkipsCorruptLinesAndTornTail) {
   std::remove(Path.c_str());
 }
 
+TEST_F(QuarantineResumeTest, OutOfRangeCountsAreCorruptNotReused) {
+  // A count that does not fit its field is a corrupt line, never a
+  // wrapped or truncated value: "-1" must not become 2^64-1 and 2^32
+  // must not become 0 in a 32-bit field.
+  std::vector<const BenchmarkProgram *> Programs = firstPrograms(3);
+  VRPOptions Opts;
+  Opts.Interprocedural = true;
+  std::string FP = journal::fingerprint(Programs, Opts);
+  std::string Path = tempPath("ranges.jsonl");
+
+  auto replaceField = [](std::string Line, const std::string &Key,
+                         const std::string &Value) {
+    std::string Tag = "\"" + Key + "\":";
+    size_t At = Line.find(Tag);
+    EXPECT_NE(At, std::string::npos) << Key;
+    At += Tag.size();
+    size_t End = Line.find_first_of(",]}", At);
+    return Line.replace(At, End - At, Value);
+  };
+  SuiteEvaluation Fresh = evaluateSuite(Programs, Opts);
+  ASSERT_EQ(Fresh.Benchmarks.size(), 3u);
+  {
+    auto J = journal::SuiteJournal::open(Path, FP, /*Append=*/false);
+    ASSERT_NE(J, nullptr);
+    J->append(Fresh.Benchmarks[0]);
+  }
+  {
+    std::ofstream OS(Path, std::ios::app);
+    OS << replaceField(journal::serializeEvaluation(Fresh.Benchmarks[1]),
+                       "ref_steps", "-1")
+       << "\n";
+    OS << replaceField(journal::serializeEvaluation(Fresh.Benchmarks[2]),
+                       "static_branches", "4294967296")
+       << "\n";
+  }
+
+  journal::LoadResult L = journal::SuiteJournal::load(Path, FP);
+  EXPECT_TRUE(L.HeaderMatched);
+  EXPECT_EQ(L.CorruptLines, 2u);
+  ASSERT_EQ(L.Entries.size(), 1u);
+  EXPECT_EQ(L.Entries.count(Programs[0]->Name), 1u);
+
+  SuiteRunConfig Config;
+  Config.JournalPath = Path;
+  Config.Resume = true;
+  SuiteEvaluation Resumed = evaluateSuite(Programs, Opts, Config);
+  EXPECT_EQ(Resumed.JournalReused, 1u);
+  EXPECT_EQ(statsJson(Resumed), statsJson(Fresh));
+  std::remove(Path.c_str());
+}
+
 TEST_F(QuarantineResumeTest, FingerprintMismatchInvalidatesJournal) {
   std::vector<const BenchmarkProgram *> Programs = firstPrograms(2);
   VRPOptions Opts;
