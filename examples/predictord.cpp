@@ -159,7 +159,7 @@ int runFleet(const FleetConfig &Config) {
   }
   stopsignal::installHandlers();
   std::cerr << "predictord: fleet of " << Config.Workers
-            << " workers serving on " << Config.PublicSocket << "\n";
+            << " workers serving on " << Config.Server.SocketPath << "\n";
   Status Rc = Sup->run();
   if (!Rc.ok()) {
     std::cerr << "error: " << Rc.error().str() << "\n";
@@ -331,19 +331,11 @@ int runTool(int argc, char **argv) {
       return runServer(Config);
     // Fleet mode: the server knobs apply per worker; each worker is this
     // same binary in single-process server mode.
-    Fleet.PublicSocket = Config.SocketPath;
+    Fleet.Server = Config;
     Fleet.Workers = FleetWorkers;
     Fleet.WorkerBinary = process::selfExePath();
     if (Fleet.WorkerBinary.empty())
       Fleet.WorkerBinary = argv[0];
-    Fleet.CachePath = Config.Service.CachePath;
-    Fleet.WorkerThreads = Config.Workers;
-    Fleet.MaxQueue = static_cast<unsigned>(Config.Admission.MaxQueue);
-    Fleet.DegradeDepth =
-        static_cast<unsigned>(Config.Admission.DegradeDepth);
-    Fleet.DefaultDeadlineMs = Config.Service.DefaultDeadlineMs;
-    Fleet.ResponseMemo = Config.Service.ResponseMemo;
-    Fleet.MaxConnections = Config.MaxConnections;
     return runFleet(Fleet);
   }
 

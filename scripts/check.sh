@@ -239,6 +239,10 @@ build/examples/predictor_tool examples/vl/histogram.vl > build/serve-oneshot.txt
 build/examples/predictord --socket="$SOCK" --send=examples/vl/histogram.vl \
   > build/serve-served.txt
 diff build/serve-oneshot.txt build/serve-served.txt
+# The analyze JSON has no one-shot twin; save the daemon's payload so the
+# fleet stage can hold the router's to it.
+build/examples/predictord --socket="$SOCK" --send=examples/vl/histogram.vl \
+  --method=analyze > build/serve-analyze.json
 # Load the daemon, then kill -9 it mid-flight.
 ( for _ in 1 2 3 4 5 6 7 8; do
     build/examples/predictord --socket="$SOCK" \
@@ -271,7 +275,8 @@ build/examples/predictor_tool --cache="$PCACHE" --cache-verify \
 echo "serving smoke: ok"
 
 # Fleet chaos smoke: the supervised multi-worker fleet must (1) answer
-# byte-identically to the one-shot tool through the router, (2) survive
+# byte-identically through the router — predict to the one-shot tool,
+# analyze to the single-process daemon — (2) survive
 # kill -9 of a worker under load with ZERO client-visible failures (the
 # router retries in-flight requests once on a healthy shard) and restart
 # the shard, (3) detect a SIGSTOPped worker via missed heartbeats, open
@@ -305,6 +310,9 @@ build/examples/predictor_tool examples/vl/histogram.vl > build/fleet-oneshot.txt
 build/examples/predictord --socket="$FSOCK" --send=examples/vl/histogram.vl \
   > build/fleet-served.txt
 diff build/fleet-oneshot.txt build/fleet-served.txt
+build/examples/predictord --socket="$FSOCK" --send=examples/vl/histogram.vl \
+  --method=analyze > build/fleet-analyze.json
+diff build/serve-analyze.json build/fleet-analyze.json
 # (2) kill -9 one worker mid-load: every request must still succeed.
 VICTIM=$(fleet_stats | grep -o '"index":0,"pid":[0-9]*' | grep -o '[0-9]*$')
 rm -f build/fleet-load-failed

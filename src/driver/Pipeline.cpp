@@ -184,10 +184,10 @@ double vrp::rangePredictedFraction(const FinalPredictionMap &Predictions) {
   return static_cast<double>(FromRanges) / Predictions.size();
 }
 
-void vrp::renderPredictionReport(const Module &M, const ModuleVRPResult &VRP,
-                                 AnalysisCache *Cache,
-                                 const PredictionReportOptions &Options,
-                                 std::ostream &OS) {
+std::vector<FunctionDecisions>
+vrp::branchDecisions(const Module &M, const ModuleVRPResult &VRP,
+                     AnalysisCache *Cache, const std::string &Predictor) {
+  std::vector<FunctionDecisions> Result;
   for (const auto &F : M.functions()) {
     const FunctionVRPResult *FR = VRP.forFunction(F.get());
     if (!FR)
@@ -199,52 +199,64 @@ void vrp::renderPredictionReport(const Module &M, const ModuleVRPResult &VRP,
     if (!Any)
       continue;
 
-    OS << "fn @" << F->name() << ":";
-    if (FR->Degraded)
-      OS << " (budget exhausted; heuristic fallback)";
-    OS << "\n";
-    TextTable Table({"line", "branch", "P(taken)", "source"});
-
     FinalPredictionMap Final = finalizePredictions(*F, *FR, Cache);
     BranchProbMap Alt;
-    if (Options.Predictor == "ball-larus")
+    if (Predictor == "ball-larus")
       Alt = predictBallLarus(*F);
-    else if (Options.Predictor == "90-50")
+    else if (Predictor == "90-50")
       Alt = predictNinetyFifty(*F);
-    else if (Options.Predictor == "random")
+    else if (Predictor == "random")
       Alt = predictRandom(*F, 1234);
 
+    FunctionDecisions &FD = Result.emplace_back();
+    FD.F = F.get();
+    FD.VRP = FR;
     for (const auto &B : F->blocks()) {
       const auto *CBr = dyn_cast_or_null<CondBrInst>(B->terminator());
       if (!CBr)
         continue;
-      double Prob;
-      std::string SourceTag;
-      if (Options.Predictor == "vrp") {
+      BranchDecision &D = FD.Branches.emplace_back();
+      D.Branch = CBr;
+      if (Predictor == "vrp") {
         const FinalPrediction &P = Final.at(CBr);
-        Prob = P.ProbTrue;
-        SourceTag = P.Source == PredictionSource::Range ? "ranges"
-                    : P.Source == PredictionSource::Heuristic
-                        ? "heuristic fallback"
-                        : "unreachable";
+        D.ProbTrue = P.ProbTrue;
+        D.Source = P.Source == PredictionSource::Range ? "ranges"
+                   : P.Source == PredictionSource::Heuristic
+                       ? "heuristic fallback"
+                       : "unreachable";
       } else {
-        Prob = Alt.at(CBr);
-        SourceTag = Options.Predictor;
+        D.ProbTrue = Alt.at(CBr);
+        D.Source = Predictor;
       }
-      std::string Desc =
-          instructionToString(*cast<Instruction>(CBr->cond()));
-      Table.addRow({CBr->loc().str(), Desc, formatPercent(Prob),
-                    SourceTag});
     }
+  }
+  return Result;
+}
+
+void vrp::renderPredictionReport(const Module &M, const ModuleVRPResult &VRP,
+                                 AnalysisCache *Cache,
+                                 const PredictionReportOptions &Options,
+                                 std::ostream &OS) {
+  for (const FunctionDecisions &FD :
+       branchDecisions(M, VRP, Cache, Options.Predictor)) {
+    OS << "fn @" << FD.F->name() << ":";
+    if (FD.VRP->Degraded)
+      OS << " (budget exhausted; heuristic fallback)";
+    OS << "\n";
+    TextTable Table({"line", "branch", "P(taken)", "source"});
+    for (const BranchDecision &D : FD.Branches)
+      Table.addRow({D.Branch->loc().str(),
+                    instructionToString(*cast<Instruction>(D.Branch->cond())),
+                    formatPercent(D.ProbTrue), D.Source});
     Table.print(OS);
 
     if (Options.DumpRanges && Options.Predictor == "vrp") {
       OS << "  value ranges:\n";
-      for (const auto &B : F->blocks())
+      for (const auto &B : FD.F->blocks())
         for (const auto &I : B->instructions()) {
           if (I->type() == IRType::Void)
             continue;
-          ValueRange VR = FR->rangeOf(I.get());
+          ValueRange VR = FD.VRP->rangeOf(I.get());
           if (VR.isTop() || VR.isBottom())
             continue;
           OS << "    " << I->displayName() << " : " << VR.str() << "\n";

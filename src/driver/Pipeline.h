@@ -33,7 +33,9 @@
 
 #include <iosfwd>
 #include <memory>
+#include <string>
 #include <string_view>
+#include <vector>
 
 namespace vrp {
 
@@ -134,6 +136,31 @@ void accumulateModuleStats(VRPStats &Stats, const ModuleVRPResult &VRP);
 void accumulatePredictionStats(VRPStats &Stats,
                                const FinalPredictionMap &Predictions);
 
+/// One conditional branch's decision. Source is "ranges", "heuristic
+/// fallback" or "unreachable" under "vrp", else the predictor's name.
+struct BranchDecision {
+  const CondBrInst *Branch = nullptr;
+  double ProbTrue = 0.5;
+  std::string Source;
+};
+
+/// One function's branch decisions, in block order.
+struct FunctionDecisions {
+  const Function *F = nullptr;
+  const FunctionVRPResult *VRP = nullptr;
+  std::vector<BranchDecision> Branches;
+};
+
+/// The per-branch walk behind every prediction report: each function of
+/// \p M that has a propagation result and at least one conditional
+/// branch, in module order, with each branch's probability and source
+/// under \p Predictor — "vrp" (finalizePredictions, memoized in
+/// \p Cache), "ball-larus", "90-50" or "random" (seed 1234).
+std::vector<FunctionDecisions> branchDecisions(const Module &M,
+                                               const ModuleVRPResult &VRP,
+                                               AnalysisCache *Cache,
+                                               const std::string &Predictor);
+
 /// What renderPredictionReport annotates each branch with.
 struct PredictionReportOptions {
   /// Which predictor's probability annotates each branch: "vrp" (the
@@ -144,12 +171,13 @@ struct PredictionReportOptions {
   bool DumpRanges = false;
 };
 
-/// Renders the per-function branch-prediction report — `fn @name:` blocks
-/// with a line/branch/P(taken)/source table, a degradation annotation per
-/// budget-exhausted function, and a trailing note when any function
-/// degraded. This is byte-for-byte the single-file output of
-/// predictor_tool, extracted here so a resident service (serve/Service.h)
-/// answering the same source produces bitwise-identical text.
+/// Renders branchDecisions() as the per-function branch-prediction report
+/// — `fn @name:` blocks with a line/branch/P(taken)/source table, a
+/// degradation annotation per budget-exhausted function, and a trailing
+/// note when any function degraded. This is byte-for-byte the
+/// single-file output of predictor_tool, extracted here so a resident
+/// service (serve/Service.h) answering the same source produces
+/// bitwise-identical text.
 void renderPredictionReport(const Module &M, const ModuleVRPResult &VRP,
                             AnalysisCache *Cache,
                             const PredictionReportOptions &Options,

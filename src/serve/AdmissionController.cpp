@@ -66,13 +66,9 @@ bool AdmissionController::expiredInQueue(const Task &T) {
 }
 
 Response AdmissionController::makeExpiredResponse(const Request &Req) {
-  Response R;
-  R.Id = Req.Id;
-  R.Status = RespStatus::Shed;
-  R.Category = errorCategoryName(ErrorCategory::BudgetExceeded);
-  R.Site = "admission";
-  R.Message = "deadline expired in queue";
-  return R;
+  return failedResponse(Req.Id, RespStatus::Shed,
+                        errorCategoryName(ErrorCategory::BudgetExceeded),
+                        "admission", "deadline expired in queue");
 }
 
 void AdmissionController::noteExpired() {

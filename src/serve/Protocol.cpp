@@ -42,6 +42,25 @@ std::string serve::serializeRequest(const Request &R) {
   return Out;
 }
 
+Response serve::okResponse(uint64_t Id, std::string Payload) {
+  Response R;
+  R.Id = Id;
+  R.Payload = std::move(Payload);
+  return R;
+}
+
+Response serve::failedResponse(uint64_t Id, RespStatus Status,
+                               std::string Category, std::string Site,
+                               std::string Message) {
+  Response R;
+  R.Id = Id;
+  R.Status = Status;
+  R.Category = std::move(Category);
+  R.Site = std::move(Site);
+  R.Message = std::move(Message);
+  return R;
+}
+
 std::string serve::serializeResponse(const Response &R) {
   std::string Out = "{\"id\":" + std::to_string(R.Id);
   Out += ",\"status\":\"";

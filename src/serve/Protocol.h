@@ -65,6 +65,13 @@ struct Response {
   std::string Message;  ///< Human-readable reason (error/shed).
 };
 
+/// An ok response to request \p Id carrying \p Payload.
+Response okResponse(uint64_t Id, std::string Payload);
+/// A shed or error response to request \p Id; \p Category is an
+/// errorCategoryName() or empty.
+Response failedResponse(uint64_t Id, RespStatus Status, std::string Category,
+                        std::string Site, std::string Message);
+
 std::string serializeRequest(const Request &R);
 std::string serializeResponse(const Response &R);
 

@@ -7,180 +7,56 @@
 #include "serve/Router.h"
 
 #include "serve/Client.h"
-#include "serve/Frame.h"
 #include "serve/Supervisor.h"
-#include "serve/UnixSocket.h"
 #include "support/ResultStore.h"
-
-#include <cerrno>
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
 
 using namespace vrp;
 using namespace vrp::serve;
-
-namespace {
-
-constexpr int RecvTimeoutMs = 200;
-constexpr int AcceptPollMs = 100;
-
-} // namespace
 
 std::unique_ptr<Router> Router::create(const std::string &SocketPath,
                                        unsigned MaxConnections,
                                        uint64_t ForwardTimeoutMs,
                                        Supervisor &Fleet, Status *Why) {
   std::unique_ptr<Router> R(new Router());
-  R->SocketPath = SocketPath;
-  R->MaxConnections = MaxConnections ? MaxConnections : 64;
   R->ForwardTimeoutMs = ForwardTimeoutMs ? ForwardTimeoutMs : 2000;
   R->Fleet = &Fleet;
-  R->ListenFd = listenUnixSocket(SocketPath, Why);
-  if (R->ListenFd < 0)
+  R->Front = FrontEnd::create(SocketPath, MaxConnections, Why);
+  if (!R->Front)
     return nullptr;
-  R->Bound = true;
   return R;
 }
 
-Router::~Router() {
-  stop();
-  if (ListenFd >= 0)
-    ::close(ListenFd);
-  if (Bound && !SocketPath.empty())
-    ::unlink(SocketPath.c_str());
-}
+Router::~Router() { stop(); }
 
 void Router::start() {
-  Acceptor = std::thread([this] { acceptLoop(); });
+  Acceptor = std::thread([this] {
+    Front->run([this](const Request &Req) { return dispatch(Req); },
+               [this] { return Stopping.load(); });
+  });
 }
 
 void Router::stop() {
-  if (Stopped.exchange(true))
-    return;
   Stopping.store(true);
   if (Acceptor.joinable())
     Acceptor.join();
-  std::vector<std::thread> Conns;
-  {
-    std::lock_guard<std::mutex> Lock(ThreadsM);
-    Conns.swap(ConnectionThreads);
-  }
-  // Connection threads notice Stopping at their next receive timeout;
-  // a request already being forwarded completes and is answered first.
-  for (std::thread &C : Conns)
-    C.join();
-  if (ListenFd >= 0) {
-    ::close(ListenFd);
-    ListenFd = -1;
-  }
-  if (Bound && !SocketPath.empty()) {
-    ::unlink(SocketPath.c_str());
-    Bound = false;
-  }
-}
-
-void Router::acceptLoop() {
-  pollfd Pfd;
-  Pfd.fd = ListenFd;
-  Pfd.events = POLLIN;
-  while (!Stopping.load()) {
-    Pfd.revents = 0;
-    int Ready = ::poll(&Pfd, 1, AcceptPollMs);
-    if (Ready < 0) {
-      if (errno == EINTR)
-        continue;
-      break;
-    }
-    if (Ready == 0)
-      continue;
-    int Fd = ::accept(ListenFd, nullptr, nullptr);
-    if (Fd < 0) {
-      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK)
-        continue;
-      break;
-    }
-    if (ActiveConnections.load() >= MaxConnections) {
-      RejectedConnections.fetch_add(1);
-      ::close(Fd);
-      continue;
-    }
-    Connections.fetch_add(1);
-    ActiveConnections.fetch_add(1);
-    setRecvTimeout(Fd, RecvTimeoutMs);
-    std::lock_guard<std::mutex> Lock(ThreadsM);
-    ConnectionThreads.emplace_back([this, Fd] { connectionLoop(Fd); });
-  }
-}
-
-void Router::connectionLoop(int Fd) {
-  std::string Payload;
-  while (true) {
-    std::string Err;
-    FrameRead Rc = readFrame(Fd, Payload, &Err);
-    if (Rc == FrameRead::Timeout) {
-      if (Stopping.load())
-        break;
-      continue;
-    }
-    if (Rc == FrameRead::Eof)
-      break;
-    if (Rc == FrameRead::Error) {
-      ProtocolErrors.fetch_add(1);
-      break;
-    }
-
-    Request Req;
-    std::string ParseErr;
-    if (!parseRequest(Payload, Req, &ParseErr)) {
-      ProtocolErrors.fetch_add(1);
-      Response R;
-      R.Status = RespStatus::Error;
-      R.Category = errorCategoryName(ErrorCategory::ParseError);
-      R.Site = "protocol";
-      R.Message = ParseErr;
-      if (!writeFrame(Fd, serializeResponse(R)).ok())
-        break;
-      continue;
-    }
-    Response R = dispatch(Req);
-    if (!writeFrame(Fd, serializeResponse(R)).ok())
-      break;
-  }
-  ::close(Fd);
-  ActiveConnections.fetch_sub(1);
+  // A request already being forwarded completes and is answered first.
+  Front->drain();
 }
 
 Response Router::dispatch(const Request &Req) {
   // Control methods are answered by the router itself — the fleet view
   // lives here, and they must work even with every worker down.
-  if (Req.Method == "ping") {
-    Response R;
-    R.Id = Req.Id;
-    R.Payload = "pong";
-    return R;
-  }
-  if (Req.Method == "stats" || Req.Method == "health") {
-    Response R;
-    R.Id = Req.Id;
-    R.Payload = Fleet->statsJson();
-    return R;
-  }
+  if (Req.Method == "ping")
+    return okResponse(Req.Id, "pong");
+  if (Req.Method == "stats" || Req.Method == "health")
+    return okResponse(Req.Id, Fleet->statsJson());
   if (Req.Method == "shutdown") {
     Fleet->requestShutdown();
-    Response R;
-    R.Id = Req.Id;
-    R.Payload = "draining";
-    return R;
+    return okResponse(Req.Id, "draining");
   }
   if (Fleet->draining()) {
     Shed.fetch_add(1);
-    Response R;
-    R.Id = Req.Id;
-    R.Status = RespStatus::Shed;
-    R.Site = "router";
-    R.Message = "draining";
-    return R;
+    return failedResponse(Req.Id, RespStatus::Shed, "", "router", "draining");
   }
   return forward(Req);
 }
@@ -192,12 +68,9 @@ Response Router::forward(const Request &Req) {
   RoutePlan Plan = Fleet->routeTargets(Fp);
   if (Plan.Targets.empty()) {
     Shed.fetch_add(1);
-    Response R;
-    R.Id = Req.Id;
-    R.Status = RespStatus::Shed;
-    R.Site = "router";
-    R.Message = Fleet->draining() ? "draining" : "no healthy worker";
-    return R;
+    return failedResponse(Req.Id, RespStatus::Shed, "", "router",
+                          Fleet->draining() ? "draining"
+                                            : "no healthy worker");
   }
 
   for (size_t Attempt = 0; Attempt < Plan.Targets.size(); ++Attempt) {
@@ -229,20 +102,17 @@ Response Router::forward(const Request &Req) {
   }
 
   Failed.fetch_add(1);
-  Response R;
-  R.Id = Req.Id;
-  R.Status = RespStatus::Error;
-  R.Category = errorCategoryName(ErrorCategory::Internal);
-  R.Site = "router";
-  R.Message = "request failed on all routable workers";
-  return R;
+  return failedResponse(Req.Id, RespStatus::Error,
+                        errorCategoryName(ErrorCategory::Internal), "router",
+                        "request failed on all routable workers");
 }
 
 RouterStats Router::stats() const {
+  FrontEndStats F = Front->stats();
   RouterStats S;
-  S.Connections = Connections.load();
-  S.RejectedConnections = RejectedConnections.load();
-  S.ProtocolErrors = ProtocolErrors.load();
+  S.Connections = F.Connections;
+  S.RejectedConnections = F.RejectedConnections;
+  S.ProtocolErrors = F.ProtocolErrors;
   S.Forwarded = Forwarded.load();
   S.Retried = Retried.load();
   S.Failed = Failed.load();

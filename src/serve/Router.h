@@ -6,7 +6,7 @@
 ///
 /// \file
 /// The client-facing half of the fleet (serve/Supervisor.h): listens on
-/// the public socket, speaks the same framed protocol as the
+/// the public socket through the same serve/FrontEnd.h as the
 /// single-process Server, and forwards predict/analyze requests to
 /// worker shards chosen by rendezvous hash of the request source — so a
 /// given module always lands on the same worker and that worker's
@@ -28,16 +28,14 @@
 #ifndef VRP_SERVE_ROUTER_H
 #define VRP_SERVE_ROUTER_H
 
-#include "serve/Protocol.h"
+#include "serve/FrontEnd.h"
 #include "support/Status.h"
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
-#include <vector>
 
 namespace vrp::serve {
 
@@ -79,32 +77,19 @@ public:
 
 private:
   Router() = default;
-  void acceptLoop();
-  void connectionLoop(int Fd);
   Response dispatch(const Request &Req);
   Response forward(const Request &Req);
 
-  std::string SocketPath;
-  unsigned MaxConnections = 64;
   uint64_t ForwardTimeoutMs = 2000;
   Supervisor *Fleet = nullptr;
-  int ListenFd = -1;
-  bool Bound = false;
+  std::unique_ptr<FrontEnd> Front;
   std::atomic<bool> Stopping{false};
-  std::atomic<bool> Stopped{false};
-
   std::thread Acceptor;
-  std::mutex ThreadsM;
-  std::vector<std::thread> ConnectionThreads;
 
-  std::atomic<uint64_t> Connections{0};
-  std::atomic<uint64_t> RejectedConnections{0};
-  std::atomic<uint64_t> ProtocolErrors{0};
   std::atomic<uint64_t> Forwarded{0};
   std::atomic<uint64_t> Retried{0};
   std::atomic<uint64_t> Failed{0};
   std::atomic<uint64_t> Shed{0};
-  std::atomic<unsigned> ActiveConnections{0};
 };
 
 } // namespace vrp::serve

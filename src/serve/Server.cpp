@@ -6,27 +6,13 @@
 
 #include "serve/Server.h"
 
-#include "serve/Frame.h"
-#include "serve/UnixSocket.h"
 #include "support/Signal.h"
 
-#include <cerrno>
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
+#include <thread>
+#include <vector>
 
 using namespace vrp;
 using namespace vrp::serve;
-
-namespace {
-
-/// Receive timeout on connection sockets: the granularity at which idle
-/// reader threads notice a drain.
-constexpr int RecvTimeoutMs = 200;
-/// Accept-loop poll granularity: how fast the server notices a stop.
-constexpr int AcceptPollMs = 100;
-
-} // namespace
 
 std::unique_ptr<Server> Server::create(const ServerConfig &Config,
                                        Status *Why) {
@@ -44,21 +30,10 @@ std::unique_ptr<Server> Server::create(const ServerConfig &Config,
   }
   S->Admission = std::make_unique<AdmissionController>(Config.Admission);
 
-  S->ListenFd = listenUnixSocket(Config.SocketPath, Why);
-  if (S->ListenFd < 0)
+  S->Front = FrontEnd::create(Config.SocketPath, Config.MaxConnections, Why);
+  if (!S->Front)
     return nullptr;
-  S->Bound = true;
   return S;
-}
-
-Server::~Server() {
-  if (ListenFd >= 0)
-    ::close(ListenFd);
-  // Remove the socket file only if this instance owns it — a create()
-  // that failed because another server is live must not unlink that
-  // server's socket out from under it.
-  if (Bound && !Config.SocketPath.empty())
-    ::unlink(Config.SocketPath.c_str());
 }
 
 void Server::requestShutdown() { ShutdownRequested.store(true); }
@@ -69,65 +44,20 @@ Status Server::serve() {
   for (unsigned I = 0; I < Config.Workers; ++I)
     Workers.emplace_back([this] { workerLoop(); });
 
-  pollfd Pfd;
-  Pfd.fd = ListenFd;
-  Pfd.events = POLLIN;
-  while (!ShutdownRequested.load() && !stopsignal::stopRequested()) {
-    Pfd.revents = 0;
-    int Ready = ::poll(&Pfd, 1, AcceptPollMs);
-    if (Ready < 0) {
-      if (errno == EINTR)
-        continue;
-      requestShutdown();
-      break;
-    }
-    if (Ready == 0)
-      continue;
-    int Fd = ::accept(ListenFd, nullptr, nullptr);
-    if (Fd < 0) {
-      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK)
-        continue;
-      requestShutdown();
-      break;
-    }
-    if (ActiveConnections.load() >= Config.MaxConnections) {
-      RejectedConnections.fetch_add(1);
-      ::close(Fd);
-      continue;
-    }
-    Connections.fetch_add(1);
-    ActiveConnections.fetch_add(1);
-    setRecvTimeout(Fd, RecvTimeoutMs);
-    std::lock_guard<std::mutex> Lock(ThreadsM);
-    ConnectionThreads.emplace_back([this, Fd] { connectionLoop(Fd); });
-  }
+  Front->run([this](const Request &Req) { return dispatch(Req); },
+             [this] {
+               return ShutdownRequested.load() ||
+                      stopsignal::stopRequested();
+             });
 
   // Graceful drain: no new connections or admissions, but everything
-  // already admitted is finished and answered before the threads join.
+  // already admitted is finished and answered before the connection
+  // threads join and the socket file is removed.
   ShutdownRequested.store(true);
   Admission->close();
   for (std::thread &W : Workers)
     W.join();
-  std::vector<std::thread> Conns;
-  {
-    std::lock_guard<std::mutex> Lock(ThreadsM);
-    Conns.swap(ConnectionThreads);
-  }
-  for (std::thread &C : Conns)
-    C.join();
-
-  // The drain is complete: stop listening and remove the socket file so
-  // a restart (or a health check) sees a clean shutdown, not a stale
-  // socket. The destructor's unlink stays as a backstop for the
-  // serve()-never-ran path.
-  if (ListenFd >= 0) {
-    ::close(ListenFd);
-    ListenFd = -1;
-  }
-  if (Bound && !Config.SocketPath.empty()) {
-    ::unlink(Config.SocketPath.c_str());
-    Bound = false;
-  }
+  Front->drain();
   return Status::success();
 }
 
@@ -155,8 +85,6 @@ Response Server::dispatch(const Request &Req) {
   if (Req.Method == "ping" || Req.Method == "stats" ||
       Req.Method == "health") {
     if (Req.Method == "stats") {
-      Response R;
-      R.Id = Req.Id;
       ServerStats S = stats();
       std::string Json = "{\"connections\":" +
                          std::to_string(S.Connections) +
@@ -174,75 +102,29 @@ Response Server::dispatch(const Request &Req) {
                          ",\"max_depth\":" +
                          std::to_string(S.Admission.MaxDepthSeen) +
                          "},\"service\":" + Svc->statsJson() + "}";
-      R.Payload = std::move(Json);
-      return R;
+      return okResponse(Req.Id, std::move(Json));
     }
     return Svc->handle(Req);
   }
   if (Req.Method == "shutdown") {
     requestShutdown();
-    Response R;
-    R.Id = Req.Id;
-    R.Payload = "draining";
-    return R;
+    return okResponse(Req.Id, "draining");
   }
 
   std::future<Response> Future;
   AdmissionVerdict Verdict = Admission->submit(Req, Future);
-  if (Verdict == AdmissionVerdict::Shed) {
-    Response R;
-    R.Id = Req.Id;
-    R.Status = RespStatus::Shed;
-    R.Site = "admission";
-    R.Message = Admission->closed() ? "draining" : "queue full";
-    return R;
-  }
+  if (Verdict == AdmissionVerdict::Shed)
+    return failedResponse(Req.Id, RespStatus::Shed, "", "admission",
+                          Admission->closed() ? "draining" : "queue full");
   return Future.get();
 }
 
-void Server::connectionLoop(int Fd) {
-  std::string Payload;
-  while (true) {
-    std::string Err;
-    FrameRead Rc = readFrame(Fd, Payload, &Err);
-    if (Rc == FrameRead::Timeout) {
-      if (ShutdownRequested.load() || stopsignal::stopRequested())
-        break;
-      continue;
-    }
-    if (Rc == FrameRead::Eof)
-      break;
-    if (Rc == FrameRead::Error) {
-      ProtocolErrors.fetch_add(1);
-      break;
-    }
-
-    Request Req;
-    std::string ParseErr;
-    if (!parseRequest(Payload, Req, &ParseErr)) {
-      ProtocolErrors.fetch_add(1);
-      Response R;
-      R.Status = RespStatus::Error;
-      R.Category = errorCategoryName(ErrorCategory::ParseError);
-      R.Site = "protocol";
-      R.Message = ParseErr;
-      if (!writeFrame(Fd, serializeResponse(R)).ok())
-        break;
-      continue;
-    }
-    Response R = dispatch(Req);
-    if (!writeFrame(Fd, serializeResponse(R)).ok())
-      break;
-  }
-  ::close(Fd);
-  ActiveConnections.fetch_sub(1);
-}
-
 ServerStats Server::stats() const {
+  FrontEndStats F = Front->stats();
   ServerStats S;
-  S.Connections = Connections.load();
-  S.RejectedConnections = RejectedConnections.load();
-  S.ProtocolErrors = ProtocolErrors.load();
+  S.Connections = F.Connections;
+  S.RejectedConnections = F.RejectedConnections;
+  S.ProtocolErrors = F.ProtocolErrors;
   S.Admission = Admission->stats();
   S.Service = Svc->counters();
   return S;

@@ -6,8 +6,8 @@
 ///
 /// \file
 /// The transport around serve/Service.h: a Unix-domain-socket server
-/// speaking the framed protocol of serve/Frame.h. One thread accepts
-/// connections; each connection gets a reader thread that parses frames
+/// speaking the framed protocol of serve/Frame.h. Its connections are
+/// the shared serve/FrontEnd.h: each connection thread parses frames
 /// and submits requests to the AdmissionController; a fixed pool of
 /// worker threads drains the queue through Service::handle. Cheap
 /// methods (ping, stats, shutdown) bypass admission — they must answer
@@ -27,15 +27,13 @@
 #define VRP_SERVE_SERVER_H
 
 #include "serve/AdmissionController.h"
+#include "serve/FrontEnd.h"
 #include "serve/Service.h"
 #include "support/Status.h"
 
 #include <atomic>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
-#include <vector>
 
 namespace vrp::serve {
 
@@ -68,7 +66,6 @@ public:
   /// persistent cache locked by another process.
   static std::unique_ptr<Server> create(const ServerConfig &Config,
                                         Status *Why = nullptr);
-  ~Server();
 
   /// Runs accept/worker loops until shutdown is requested (signal,
   /// `shutdown` request, or requestShutdown()), then drains and returns.
@@ -84,22 +81,15 @@ public:
 private:
   Server() = default;
   void workerLoop();
-  void connectionLoop(int Fd);
   Response dispatch(const Request &Req);
 
   ServerConfig Config;
   std::unique_ptr<Service> Svc;
   std::unique_ptr<AdmissionController> Admission;
-  int ListenFd = -1;
-  bool Bound = false; ///< This instance owns (and unlinks) the socket file.
   std::atomic<bool> ShutdownRequested{false};
-  std::atomic<uint64_t> Connections{0};
-  std::atomic<uint64_t> RejectedConnections{0};
-  std::atomic<uint64_t> ProtocolErrors{0};
-  std::atomic<unsigned> ActiveConnections{0};
-
-  std::mutex ThreadsM;
-  std::vector<std::thread> ConnectionThreads;
+  /// Declared last so it is destroyed first: its connection threads use
+  /// the members above.
+  std::unique_ptr<FrontEnd> Front;
 };
 
 } // namespace vrp::serve

@@ -44,6 +44,36 @@ bool transientFailure(const Response &R) {
          R.Site != "irgen";
 }
 
+/// The analyze payload: branchDecisions() as JSON. Hex-float
+/// probabilities and module order keep the bytes a pure function of the
+/// input.
+void writeAnalyzeJson(const Module &M, const ModuleVRPResult &VRP,
+                      AnalysisCache *Cache, const std::string &Predictor,
+                      std::ostream &OS) {
+  OS << "{\"functions\":[";
+  bool FirstFn = true;
+  for (const FunctionDecisions &FD :
+       branchDecisions(M, VRP, Cache, Predictor)) {
+    OS << (FirstFn ? "" : ",") << "{\"name\":\""
+       << json::escape(FD.F->name())
+       << "\",\"degraded\":" << (FD.VRP->Degraded ? "true" : "false")
+       << ",\"branches\":[";
+    FirstFn = false;
+    bool FirstBr = true;
+    for (const BranchDecision &D : FD.Branches) {
+      OS << (FirstBr ? "" : ",") << "{\"line\":\""
+         << json::escape(D.Branch->loc().str()) << "\",\"cond\":\""
+         << json::escape(
+                instructionToString(*cast<Instruction>(D.Branch->cond())))
+         << "\",\"prob\":\"" << json::hexDouble(D.ProbTrue)
+         << "\",\"source\":\"" << json::escape(D.Source) << "\"}";
+      FirstBr = false;
+    }
+    OS << "]}";
+  }
+  OS << "],\"degraded_functions\":" << VRP.FunctionsDegraded << "}";
+}
+
 } // namespace
 
 VRPOptions serve::requestOptions(const Request &Req,
@@ -100,40 +130,30 @@ Service::~Service() = default;
 
 Response Service::handle(const Request &Req, bool ForceDegrade) {
   Requests.fetch_add(1);
-  Response R;
-  R.Id = Req.Id;
-
-  if (Req.Method == "ping") {
-    R.Payload = "pong";
-    return R;
-  }
-  if (Req.Method == "stats") {
-    R.Payload = statsJson();
-    return R;
-  }
+  if (Req.Method == "ping")
+    return okResponse(Req.Id, "pong");
+  if (Req.Method == "stats")
+    return okResponse(Req.Id, statsJson());
   if (Req.Method == "health") {
     // The supervisor's heartbeat: proves the process is alive *and*
     // dispatching (a SIGSTOPped or wedged worker cannot answer). The pid
     // lets the supervisor confirm it is talking to the generation it
     // spawned, not a stale socket.
-    R.Payload = "{\"pid\":" + std::to_string(::getpid()) + "}";
-    return R;
+    return okResponse(Req.Id,
+                      "{\"pid\":" + std::to_string(::getpid()) + "}");
   }
   if (Req.Method != "predict" && Req.Method != "analyze") {
     Failures.fetch_add(1);
-    R.Status = RespStatus::Error;
-    R.Category = errorCategoryName(ErrorCategory::Internal);
-    R.Site = "service";
-    R.Message = "unknown method '" + Req.Method + "'";
-    return R;
+    return failedResponse(Req.Id, RespStatus::Error,
+                          errorCategoryName(ErrorCategory::Internal),
+                          "service", "unknown method '" + Req.Method + "'");
   }
   if (!knownPredictor(Req.Predictor)) {
     Failures.fetch_add(1);
-    R.Status = RespStatus::Error;
-    R.Category = errorCategoryName(ErrorCategory::Internal);
-    R.Site = "service";
-    R.Message = "unknown predictor '" + Req.Predictor + "'";
-    return R;
+    return failedResponse(Req.Id, RespStatus::Error,
+                          errorCategoryName(ErrorCategory::Internal),
+                          "service",
+                          "unknown predictor '" + Req.Predictor + "'");
   }
 
   // Memoization covers only deterministic requests: a wall-clock
@@ -161,7 +181,7 @@ Response Service::handle(const Request &Req, bool ForceDegrade) {
   std::string Scope = "serve:" + std::to_string(Seq.fetch_add(1));
   fault::ScopedKey ScopeKey(Scope);
 
-  R = attempt(Req, Opts);
+  Response R = attempt(Req, Opts);
   if (transientFailure(R)) {
     // One supervised retry with backoff, mirroring eval/SuiteRunner's
     // worker supervision. Deterministic failures never reach here.
@@ -194,8 +214,6 @@ Response Service::handle(const Request &Req, bool ForceDegrade) {
 }
 
 Response Service::attempt(const Request &Req, const VRPOptions &Opts) {
-  Response R;
-  R.Id = Req.Id;
   try {
     if (fault::shouldFail("worker"))
       throw std::runtime_error("injected worker fault");
@@ -204,103 +222,30 @@ Response Service::attempt(const Request &Req, const VRPOptions &Opts) {
     auto Compiled = compileProgram(Req.Source, Diags, Opts);
     if (!Compiled.ok()) {
       const VrpError &E = Compiled.error();
-      R.Status = RespStatus::Error;
-      R.Category = errorCategoryName(E.Category);
-      R.Site = E.Site;
-      R.Message = E.Message;
-      return R;
+      return failedResponse(Req.Id, RespStatus::Error,
+                            errorCategoryName(E.Category), E.Site, E.Message);
     }
     Module &M = *Compiled.value()->IR;
 
     AnalysisCache Cache;
     ModuleVRPResult VRP = runModuleVRP(M, Opts, &Cache, PCache.get());
-    R.Degraded = VRP.FunctionsDegraded > 0;
-
-    if (Req.Method == "predict") {
-      std::ostringstream OS;
+    std::ostringstream OS;
+    if (Req.Method == "predict")
       renderPredictionReport(M, VRP, &Cache,
                              {Req.Predictor, Req.DumpRanges}, OS);
-      R.Payload = OS.str();
-      return R;
-    }
-
-    // analyze: the same per-branch decisions as machine-readable JSON.
-    // Hex-float probabilities and module order keep the bytes a pure
-    // function of the input.
-    std::ostringstream OS;
-    OS << "{\"functions\":[";
-    bool FirstFn = true;
-    for (const auto &F : M.functions()) {
-      const FunctionVRPResult *FR = VRP.forFunction(F.get());
-      if (!FR)
-        continue;
-      bool Any = false;
-      for (const auto &B : F->blocks())
-        if (isa<CondBrInst>(B->terminator()))
-          Any = true;
-      if (!Any)
-        continue;
-      OS << (FirstFn ? "" : ",") << "{\"name\":\"" << json::escape(F->name())
-         << "\",\"degraded\":" << (FR->Degraded ? "true" : "false")
-         << ",\"branches\":[";
-      FirstFn = false;
-
-      FinalPredictionMap Final = finalizePredictions(*F, *FR, &Cache);
-      BranchProbMap Alt;
-      if (Req.Predictor == "ball-larus")
-        Alt = predictBallLarus(*F);
-      else if (Req.Predictor == "90-50")
-        Alt = predictNinetyFifty(*F);
-      else if (Req.Predictor == "random")
-        Alt = predictRandom(*F, 1234);
-
-      bool FirstBr = true;
-      for (const auto &B : F->blocks()) {
-        const auto *CBr = dyn_cast_or_null<CondBrInst>(B->terminator());
-        if (!CBr)
-          continue;
-        double Prob;
-        std::string SourceTag;
-        if (Req.Predictor == "vrp") {
-          const FinalPrediction &P = Final.at(CBr);
-          Prob = P.ProbTrue;
-          SourceTag = P.Source == PredictionSource::Range ? "ranges"
-                      : P.Source == PredictionSource::Heuristic
-                          ? "heuristic fallback"
-                          : "unreachable";
-        } else {
-          Prob = Alt.at(CBr);
-          SourceTag = Req.Predictor;
-        }
-        OS << (FirstBr ? "" : ",") << "{\"line\":\""
-           << json::escape(CBr->loc().str()) << "\",\"cond\":\""
-           << json::escape(
-                  instructionToString(*cast<Instruction>(CBr->cond())))
-           << "\",\"prob\":\"" << json::hexDouble(Prob) << "\",\"source\":\""
-           << json::escape(SourceTag) << "\"}";
-        FirstBr = false;
-      }
-      OS << "]}";
-    }
-    OS << "],\"degraded_functions\":" << VRP.FunctionsDegraded << "}";
-    R.Payload = OS.str();
+    else
+      writeAnalyzeJson(M, VRP, &Cache, Req.Predictor, OS);
+    Response R = okResponse(Req.Id, OS.str());
+    R.Degraded = VRP.FunctionsDegraded > 0;
     return R;
   } catch (const std::exception &E) {
-    R.Status = RespStatus::Error;
-    R.Degraded = false;
-    R.Payload.clear();
-    R.Category = errorCategoryName(ErrorCategory::Internal);
-    R.Site = "service";
-    R.Message = E.what();
-    return R;
+    return failedResponse(Req.Id, RespStatus::Error,
+                          errorCategoryName(ErrorCategory::Internal),
+                          "service", E.what());
   } catch (...) {
-    R.Status = RespStatus::Error;
-    R.Degraded = false;
-    R.Payload.clear();
-    R.Category = errorCategoryName(ErrorCategory::Internal);
-    R.Site = "service";
-    R.Message = "unknown exception";
-    return R;
+    return failedResponse(Req.Id, RespStatus::Error,
+                          errorCategoryName(ErrorCategory::Internal),
+                          "service", "unknown exception");
   }
 }
 

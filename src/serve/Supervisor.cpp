@@ -75,7 +75,8 @@ std::unique_ptr<Supervisor> Supervisor::create(const FleetConfig &Config,
   S->Config = Config;
   if (S->Config.Workers == 0)
     S->Config.Workers = 1;
-  if (S->Config.PublicSocket.empty()) {
+  const std::string &Public = S->Config.Server.SocketPath;
+  if (Public.empty()) {
     if (Why)
       *Why = failure("a public socket path is required");
     return nullptr;
@@ -92,13 +93,13 @@ std::unique_ptr<Supervisor> Supervisor::create(const FleetConfig &Config,
   for (unsigned I = 0; I < S->Config.Workers; ++I) {
     WorkerSlot &W = S->Slots[I];
     W.Index = I;
-    W.SocketPath = shardSocketPath(S->Config.PublicSocket, I);
-    W.CachePath = shardCachePath(S->Config.CachePath, I);
+    W.SocketPath = shardSocketPath(Public, I);
+    W.CachePath = shardCachePath(S->Config.Server.Service.CachePath, I);
   }
 
   // Bind the public socket before forking anything: a fleet that cannot
   // listen should fail without ever spawning a worker.
-  S->Front = Router::create(S->Config.PublicSocket, S->Config.MaxConnections,
+  S->Front = Router::create(Public, S->Config.Server.MaxConnections,
                             S->Config.ForwardTimeoutMs, *S, Why);
   if (!S->Front)
     return nullptr;
@@ -124,17 +125,20 @@ void Supervisor::requestShutdown() { ShutdownRequested.store(true); }
 bool Supervisor::draining() const { return Draining.load(); }
 
 bool Supervisor::spawnWorker(WorkerSlot &W, Status *Why) {
+  const ServerConfig &C = Config.Server;
   std::vector<std::string> Args;
   Args.push_back("--socket=" + W.SocketPath);
-  Args.push_back("--threads=" + std::to_string(Config.WorkerThreads));
+  Args.push_back("--threads=" + std::to_string(C.Workers));
   if (!W.CachePath.empty())
     Args.push_back("--cache=" + W.CachePath);
-  Args.push_back("--max-queue=" + std::to_string(Config.MaxQueue));
-  Args.push_back("--degrade-depth=" + std::to_string(Config.DegradeDepth));
-  Args.push_back("--max-conns=" + std::to_string(Config.MaxConnections));
-  if (Config.DefaultDeadlineMs > 0)
-    Args.push_back("--deadline=" + std::to_string(Config.DefaultDeadlineMs));
-  if (!Config.ResponseMemo)
+  Args.push_back("--max-queue=" + std::to_string(C.Admission.MaxQueue));
+  Args.push_back("--degrade-depth=" +
+                 std::to_string(C.Admission.DegradeDepth));
+  Args.push_back("--max-conns=" + std::to_string(C.MaxConnections));
+  if (C.Service.DefaultDeadlineMs > 0)
+    Args.push_back("--deadline=" +
+                   std::to_string(C.Service.DefaultDeadlineMs));
+  if (!C.Service.ResponseMemo)
     Args.push_back("--no-memo");
 
   // A stale socket file from the previous generation would race the new

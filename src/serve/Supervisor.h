@@ -38,6 +38,7 @@
 #ifndef VRP_SERVE_SUPERVISOR_H
 #define VRP_SERVE_SUPERVISOR_H
 
+#include "serve/Server.h"
 #include "support/Status.h"
 
 #include <atomic>
@@ -55,22 +56,16 @@ namespace vrp::serve {
 class Router;
 
 struct FleetConfig {
-  /// The public socket clients connect to (the router listens here).
-  std::string PublicSocket;
+  /// The public socket (the router listens on SocketPath) and the
+  /// settings every worker serves with, rendered onto its command line.
+  /// Worker K listens on "<SocketPath>.wK" and keeps its pcache shard at
+  /// "<Service.CachePath>.wK" (empty = uncached). MaxConnections caps
+  /// the router's connections as well as each worker's.
+  ServerConfig Server;
   /// Worker process count (>= 1).
   unsigned Workers = 4;
   /// The predictord binary to exec for workers; empty = /proc/self/exe.
   std::string WorkerBinary;
-  /// Base pcache path; worker K gets "<base>.wK" (empty = uncached).
-  std::string CachePath;
-
-  // Per-worker Server knobs, passed through on the worker command line.
-  unsigned WorkerThreads = 1;
-  unsigned MaxQueue = 64;
-  unsigned DegradeDepth = 48;
-  uint64_t DefaultDeadlineMs = 0;
-  bool ResponseMemo = true;
-  unsigned MaxConnections = 64;
 
   // Supervision policy.
   uint64_t HeartbeatIntervalMs = 500; ///< health probe period per worker.

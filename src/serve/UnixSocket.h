@@ -5,13 +5,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The socket plumbing shared by the single-process server
-/// (serve/Server.h), the fleet router (serve/Router.h), and the client
-/// (serve/Client.h): address filling, the stale-socket-file probe, and
-/// receive-timeout configuration. Factored here so the router's listen
-/// path and the server's are the same code — including the probe that
-/// distinguishes a kill -9 leftover (reclaimable) from a live listener
-/// (a configuration error).
+/// The socket plumbing shared by the connection front end
+/// (serve/FrontEnd.h) and the client (serve/Client.h): address filling,
+/// the stale-socket-file probe that distinguishes a kill -9 leftover
+/// (reclaimable) from a live listener (a configuration error), and
+/// receive-timeout configuration.
 ///
 //===----------------------------------------------------------------------===//
 

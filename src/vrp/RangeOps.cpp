@@ -412,27 +412,31 @@ uint64_t RangeOps::normalizationTicks() const {
       .load(std::memory_order_relaxed);
 }
 
-ValueRange RangeOps::replay(const MemoEntry &E) {
-  Stats.SubOps += E.SubOps;
-  if (E.Norms)
-    telemetry::count(telemetry::Counter::RangeNormalizations, E.Norms);
-  telemetry::count(telemetry::Counter::RangeOpMemoHits);
-  return E.Result;
+template <typename MapT, typename KeyT, typename Fn>
+const RangeOps::MemoEntry &RangeOps::memoize(MapT &Map, const KeyT &K,
+                                             Fn &&Compute) {
+  auto It = Map.find(K);
+  if (It != Map.end()) {
+    const MemoEntry &E = It->second;
+    Stats.SubOps += E.SubOps;
+    if (E.Norms)
+      telemetry::count(telemetry::Counter::RangeNormalizations, E.Norms);
+    telemetry::count(telemetry::Counter::RangeOpMemoHits);
+    return E;
+  }
+  MemoEntry E;
+  uint64_t SubOps0 = Stats.SubOps;
+  uint64_t Norms0 = normalizationTicks();
+  Compute(E);
+  E.SubOps = Stats.SubOps - SubOps0;
+  E.Norms = normalizationTicks() - Norms0;
+  return Map.emplace(K, std::move(E)).first->second;
 }
 
 template <typename Fn>
 ValueRange RangeOps::memoRange(const MemoKey &K, Fn &&Compute) {
-  auto It = Memo.find(K);
-  if (It != Memo.end())
-    return replay(It->second);
-  MemoEntry E;
-  uint64_t SubOps0 = Stats.SubOps;
-  uint64_t Norms0 = normalizationTicks();
-  E.Result = Compute();
-  E.SubOps = Stats.SubOps - SubOps0;
-  E.Norms = normalizationTicks() - Norms0;
-  Memo.emplace(K, E);
-  return E.Result;
+  return memoize(Memo, K, [&](MemoEntry &E) { E.Result = Compute(); })
+      .Result;
 }
 
 //===----------------------------------------------------------------------===//
@@ -939,17 +943,9 @@ ValueRange RangeOps::meetWeighted(
     MeetKeyScratch.push_back(FBits);
     MeetKeyScratch.push_back(WBits);
   }
-  auto MemoIt = MeetMemo.find(MeetKeyScratch);
-  if (MemoIt != MeetMemo.end())
-    return replay(MemoIt->second);
-  MemoEntry E;
-  uint64_t SubOps0 = Stats.SubOps;
-  uint64_t Norms0 = normalizationTicks();
-  E.Result = meetWeightedUncached(Entries);
-  E.SubOps = Stats.SubOps - SubOps0;
-  E.Norms = normalizationTicks() - Norms0;
-  MeetMemo.emplace(MeetKeyScratch, E);
-  return E.Result;
+  return memoize(MeetMemo, MeetKeyScratch, [&](MemoEntry &E) {
+           E.Result = meetWeightedUncached(Entries);
+         }).Result;
 }
 
 ValueRange RangeOps::meetWeightedUncached(
@@ -1756,27 +1752,14 @@ std::optional<double> RangeOps::cmpProb(CmpPred Pred, const ValueRange &L,
     Tag = predTag(TagFCmp, Pred);
   }
   MemoKey K{Tag, encodeHandle(LK), encodeHandle(RK), LVal, RVal};
-  auto It = Memo.find(K);
-  if (It != Memo.end()) {
-    const MemoEntry &E = It->second;
-    Stats.SubOps += E.SubOps;
-    if (E.Norms)
-      telemetry::count(telemetry::Counter::RangeNormalizations, E.Norms);
-    telemetry::count(telemetry::Counter::RangeOpMemoHits);
-    if (!E.CmpHas)
-      return std::nullopt;
-    return E.CmpVal;
-  }
-  uint64_t SubOps0 = Stats.SubOps;
-  uint64_t Norms0 = normalizationTicks();
-  std::optional<double> P = cmpProbUncached(Pred, LK, RK, LVal, RVal);
-  MemoEntry E;
-  E.CmpHas = P.has_value();
-  E.CmpVal = P.value_or(0.0);
-  E.SubOps = Stats.SubOps - SubOps0;
-  E.Norms = normalizationTicks() - Norms0;
-  Memo.emplace(K, E);
-  return P;
+  const MemoEntry &E = memoize(Memo, K, [&](MemoEntry &Fresh) {
+    std::optional<double> P = cmpProbUncached(Pred, LK, RK, LVal, RVal);
+    Fresh.CmpHas = P.has_value();
+    Fresh.CmpVal = P.value_or(0.0);
+  });
+  if (!E.CmpHas)
+    return std::nullopt;
+  return E.CmpVal;
 }
 
 std::optional<double> RangeOps::cmpProbUncached(CmpPred Pred,

@@ -131,10 +131,14 @@ private:
 
   static uint64_t encodeHandle(const ValueRange &V);
   uint64_t normalizationTicks() const;
-  ValueRange replay(const MemoEntry &E);
 
-  /// Runs \p Compute under memoization: a hit returns the cached handle
-  /// and replays the recorded counter deltas; a miss records them.
+  /// The one memo sequence behind every memoized operation: a hit in
+  /// \p Map replays the recorded counter deltas and returns the entry; a
+  /// miss runs \p Compute to fill a fresh entry, records the deltas it
+  /// produced and stores it under \p K.
+  template <typename MapT, typename KeyT, typename Fn>
+  const MemoEntry &memoize(MapT &Map, const KeyT &K, Fn &&Compute);
+  /// memoize() for operations whose result is a range.
   template <typename Fn>
   ValueRange memoRange(const MemoKey &K, Fn &&Compute);
 

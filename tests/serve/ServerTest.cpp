@@ -8,11 +8,13 @@
 
 #include "serve/Client.h"
 #include "serve/Frame.h"
+#include "serve/UnixSocket.h"
 #include "support/Signal.h"
 
 #include "gtest/gtest.h"
 
 #include <cstring>
+#include <fstream>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <thread>
@@ -54,6 +56,14 @@ struct RunningServer {
       Thread.join();
   }
 };
+
+size_t mappingCount() {
+  std::ifstream Maps("/proc/self/maps");
+  size_t Lines = 0;
+  for (std::string L; std::getline(Maps, L);)
+    ++Lines;
+  return Lines;
+}
 
 std::string socketPath(const std::string &Name) {
   return "ServerTest_" + Name + ".sock";
@@ -317,6 +327,40 @@ TEST(ServerTest, SecondServerOnALiveSocketRefusesToStart) {
   StatusOr<Response> Resp = C->call(R);
   ASSERT_TRUE(Resp.ok());
   EXPECT_EQ("pong", Resp.value().Payload);
+}
+
+TEST(ServerTest, ClosedConnectionsDoNotLeaveThreadStacksMapped) {
+  // A fleet worker takes a new connection per heartbeat. Each finished
+  // connection thread must be joined while the server runs; an unjoined
+  // one keeps its stack (and guard page) mapped until drain.
+  RunningServer Srv(baseConfig("reclaim"));
+  ASSERT_TRUE(Srv.S != nullptr);
+  Request Ping;
+  Ping.Method = "ping";
+  std::string Frame = serializeRequest(Ping);
+  auto openAndClose = [&] {
+    int Fd = connectUnixSocket(Srv.S->socketPath());
+    ASSERT_GE(Fd, 0);
+    std::string Payload;
+    ASSERT_TRUE(writeFrame(Fd, Frame).ok());
+    ASSERT_EQ(FrameRead::Frame, readFrame(Fd, Payload));
+    // Close our side and wait for the server to close its side, so each
+    // connection thread has finished before the next one starts.
+    ::shutdown(Fd, SHUT_WR);
+    EXPECT_EQ(FrameRead::Eof, readFrame(Fd, Payload));
+    ::close(Fd);
+  };
+  // Warm-up: the allocator's per-thread arenas and the thread library's
+  // stack cache grow to the peak number of overlapping threads once,
+  // then are reused.
+  for (unsigned I = 0; I < 20; ++I)
+    openAndClose();
+  size_t Before = mappingCount();
+  for (unsigned I = 0; I < 200; ++I)
+    openAndClose();
+  size_t After = mappingCount();
+  EXPECT_LT(After, Before + 20) << Before << " -> " << After;
+  EXPECT_EQ(220u, Srv.S->stats().Connections);
 }
 
 } // namespace
