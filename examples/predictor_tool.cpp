@@ -59,6 +59,7 @@
 #include "ir/IRPrinter.h"
 #include "profile/Interpreter.h"
 #include "support/Format.h"
+#include "support/Json.h"
 #include "support/ResultStore.h"
 #include "support/Signal.h"
 #include "support/Telemetry.h"
@@ -73,6 +74,7 @@
 #include <sstream>
 
 using namespace vrp;
+using json::parseUnsigned;
 
 namespace {
 
@@ -182,19 +184,6 @@ void printUsage() {
                "detected by --audit, 5 cache divergence,\n            "
                "7 interrupted after a graceful flush (rerun with "
                "--resume)\n";
-}
-
-/// Parses a digits-only unsigned option value. stoul alone would accept
-/// "-2" (wrapping) and "12abc" (dropping the suffix).
-bool parseUnsigned(const std::string &V, uint64_t &Out) {
-  if (V.empty() || V.find_first_not_of("0123456789") != std::string::npos)
-    return false;
-  try {
-    Out = std::stoull(V);
-  } catch (...) {
-    return false;
-  }
-  return true;
 }
 
 int runTool(int argc, char **argv) {

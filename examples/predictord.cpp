@@ -44,6 +44,7 @@
 #include "serve/Client.h"
 #include "serve/Server.h"
 #include "serve/Supervisor.h"
+#include "support/Json.h"
 #include "support/Process.h"
 #include "support/Signal.h"
 #include "support/ThreadPool.h"
@@ -55,6 +56,7 @@
 
 using namespace vrp;
 using namespace vrp::serve;
+using json::parseUnsigned;
 
 namespace {
 
@@ -117,17 +119,6 @@ void printUsage() {
          "exit codes: 0 success, 1 error/shed response, 2 usage error, "
          "3 internal\n            error, 5 fleet failed (all workers "
          "dead), 6 startup/connect\n            failure\n";
-}
-
-bool parseUnsigned(const std::string &V, uint64_t &Out) {
-  if (V.empty() || V.find_first_not_of("0123456789") != std::string::npos)
-    return false;
-  try {
-    Out = std::stoull(V);
-  } catch (...) {
-    return false;
-  }
-  return true;
 }
 
 int runServer(const ServerConfig &Config) {

@@ -9,10 +9,13 @@ for b in build/bench/*; do "$b"; done
 
 # Parallel-engine checks under ThreadSanitizer: a separate build dir so
 # instrumented objects never mix with the main build. Covers the worker
-# pool itself and the Threads=1-vs-Threads=4 determinism contract.
+# pool itself, the Threads=1-vs-Threads=4 determinism contract, and the
+# range arena's locked interning against its lock-free reads.
 cmake -B build-tsan -G Ninja -DVRP_SANITIZE=thread
-cmake --build build-tsan --target SupportTest ParallelDeterminismTest
-ctest --test-dir build-tsan --output-on-failure -R 'ThreadPool|ParallelDeterminism'
+cmake --build build-tsan --target SupportTest ParallelDeterminismTest \
+  RangeArenaTest
+ctest --test-dir build-tsan --output-on-failure \
+  -R 'ThreadPool|ParallelDeterminism|RangeArena'
 
 # Robustness checks under AddressSanitizer+UBSan: the hostile-input
 # corpus, the fault-injection suite, the structured-error paths, and the

@@ -16,7 +16,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <functional>
 #include <sstream>
 
@@ -26,15 +25,8 @@ namespace {
 
 using json::hexDouble;
 using json::parseHexDouble;
+using json::parseSigned;
 using json::parseUnsigned;
-
-bool parseI64(const std::string &Tok, int64_t &Out) {
-  if (Tok.empty())
-    return false;
-  char *End = nullptr;
-  Out = std::strtoll(Tok.c_str(), &End, 10);
-  return End && *End == '\0';
-}
 
 using ValueEncoder = std::function<std::string(const Value *)>;
 
@@ -100,7 +92,7 @@ struct DecodeCtx {
     }
     if (Tok[0] == 'c' && Tok[1] == 'i') {
       int64_t V = 0;
-      if (!parseI64(Tok.substr(2), V)) {
+      if (!parseSigned(Tok.substr(2), V)) {
         Ok = false;
         return nullptr;
       }
@@ -222,8 +214,9 @@ bool parseRange(std::istringstream &In, const DecodeCtx &Ctx,
       return false;
     S.Lo.Sym = Ctx.decode(LoSymTok, OkLo);
     S.Hi.Sym = Ctx.decode(HiSymTok, OkHi);
-    if (!OkLo || !OkHi || !parseI64(LoOffTok, S.Lo.Offset) ||
-        !parseI64(HiOffTok, S.Hi.Offset) || !parseI64(StrideTok, S.Stride))
+    if (!OkLo || !OkHi || !parseSigned(LoOffTok, S.Lo.Offset) ||
+        !parseSigned(HiOffTok, S.Hi.Offset) ||
+        !parseSigned(StrideTok, S.Stride))
       return false;
     Subs.push_back(S);
   }

@@ -53,35 +53,17 @@ namespace {
 
 /// Collects VRP+fallback probabilities over a whole module.
 BranchProbMap vrpModulePredictions(Module &M, const VRPOptions &Opts,
-                                   double *RangeFraction,
-                                   AnalysisCache *Cache = nullptr,
-                                   unsigned *DegradedFunctions = nullptr,
-                                   VRPStats *Stats = nullptr,
-                                   PersistentCache *PCache = nullptr) {
+                                   AnalysisCache *Cache,
+                                   PersistentCache *PCache) {
   ModuleVRPResult R = runModuleVRP(M, Opts, Cache, PCache);
-  if (DegradedFunctions)
-    *DegradedFunctions = R.FunctionsDegraded;
-  if (Stats)
-    accumulateModuleStats(*Stats, R);
   BranchProbMap Probs;
-  unsigned Total = 0, FromRanges = 0;
   for (const auto &F : M.functions()) {
     const FunctionVRPResult *FR = R.forFunction(F.get());
     if (!FR)
       continue;
-    FinalPredictionMap Final = finalizePredictions(*F, *FR, Cache);
-    if (Stats)
-      accumulatePredictionStats(*Stats, Final);
-    for (const auto &[Branch, Pred] : Final) {
+    for (const auto &[Branch, Pred] : finalizePredictions(*F, *FR, Cache))
       Probs[Branch] = Pred.ProbTrue;
-      ++Total;
-      if (Pred.Source == PredictionSource::Range)
-        ++FromRanges;
-    }
   }
-  if (RangeFraction)
-    *RangeFraction =
-        Total == 0 ? 0.0 : static_cast<double>(FromRanges) / Total;
   return Probs;
 }
 
@@ -119,16 +101,14 @@ BranchProbMap vrp::predictModule(PredictorKind Kind, Module &M,
   case PredictorKind::VRP:
     // Uses Opts as configured (the ablation bench relies on this); the
     // default configuration has symbolic ranges enabled.
-    return vrpModulePredictions(M, Opts, nullptr, Cache, nullptr, nullptr,
-                                PCache);
+    return vrpModulePredictions(M, Opts, Cache, PCache);
   case PredictorKind::VRPNumeric: {
     // The numeric configuration shares the persistent cache: its options
     // fingerprint differs (EnableSymbolicRanges off), so its records can
     // never be confused with the full configuration's.
     VRPOptions Numeric = Opts;
     Numeric.EnableSymbolicRanges = false;
-    return vrpModulePredictions(M, Numeric, nullptr, Cache, nullptr, nullptr,
-                                PCache);
+    return vrpModulePredictions(M, Numeric, Cache, PCache);
   }
   case PredictorKind::NinetyFifty:
     for (const auto &F : M.functions()) {
@@ -179,26 +159,6 @@ private:
   bool Active;
   std::chrono::steady_clock::time_point At{};
 };
-
-/// The whole-function ⊥ result a quarantined function is rescored with:
-/// the same shape as budget degradation (every branch takes the
-/// Ball–Larus fallback) but attributed to the audit — and deliberately
-/// NOT counted as a budget degradation.
-FunctionVRPResult quarantinedResult(const Function &F, uint64_t Violations) {
-  FunctionVRPResult R;
-  R.F = &F;
-  R.Degraded = true;
-  R.DegradeCause = Status::failure(
-      ErrorCategory::Internal, "audit",
-      "@" + F.name() + " quarantined after " + std::to_string(Violations) +
-          (Violations == 1 ? " runtime soundness violation"
-                           : " runtime soundness violations"));
-  R.BlockProb.assign(F.numBlocks(), 1.0);
-  for (const auto &B : F.blocks())
-    if (const auto *CBr = dyn_cast_or_null<CondBrInst>(B->terminator()))
-      R.Branches[CBr] = BranchPrediction{0.5, false, true};
-  return R;
-}
 
 BenchmarkEvaluation evaluateProgramImpl(const BenchmarkProgram &Program,
                                         const VRPOptions &Opts,
@@ -333,7 +293,13 @@ BenchmarkEvaluation evaluateProgramImpl(const BenchmarkProgram &Program,
       // degradation shape a blown budget produces, but attributed to
       // the audit and counted separately.
       const Function *F = Audited[I];
-      FunctionVRPResult Q = quarantinedResult(*F, FA.Violations);
+      FunctionVRPResult Q = FunctionVRPResult::degraded(
+          *F, Status::failure(ErrorCategory::Internal, "audit",
+                              "@" + F->name() + " quarantined after " +
+                                  std::to_string(FA.Violations) +
+                                  (FA.Violations == 1
+                                       ? " runtime soundness violation"
+                                       : " runtime soundness violations")));
       for (auto &[Fn, Final] : Finals)
         if (Fn == F)
           Final = finalizePredictions(*F, Q, &Cache);

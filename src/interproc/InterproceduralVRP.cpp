@@ -174,26 +174,6 @@ private:
       DeadlineBlown = true;
   }
 
-  /// A function-scope ⊥ result: what propagateRanges produces when its
-  /// budget runs out, manufactured here when the module deadline leaves
-  /// no time to analyze \p F at all.
-  static FunctionVRPResult degradedResult(const Function &F) {
-    // The engine counts degradations it produces itself; this result is
-    // manufactured without ever entering the engine, so count it here.
-    telemetry::count(telemetry::Counter::BudgetDegradations);
-    FunctionVRPResult R;
-    R.F = &F;
-    R.Degraded = true;
-    R.DegradeCause = Status::failure(
-        ErrorCategory::BudgetExceeded, "deadline",
-        "module deadline expired before @" + F.name() + " was analyzed");
-    R.BlockProb.assign(F.numBlocks(), 1.0);
-    for (const auto &B : F.blocks())
-      if (const auto *CBr = dyn_cast_or_null<CondBrInst>(B->terminator()))
-        R.Branches[CBr] = BranchPrediction{0.5, false, true};
-    return R;
-  }
-
   Module &M;
   const VRPOptions &Opts;
   AnalysisCache *Cache;    ///< May be null (no memoization).
@@ -522,7 +502,13 @@ void InterprocDriver::degradeRemaining() {
   // degraded set is reproducible for a given boundary.
   for (unsigned I = 0; I < Fns.size(); ++I) {
     if (!HasResult[I]) {
-      Results[I] = degradedResult(*Fns[I]);
+      // The engine counts the degradations it produces itself; this one
+      // never enters the engine, so count it here.
+      telemetry::count(telemetry::Counter::BudgetDegradations);
+      Results[I] = FunctionVRPResult::degraded(
+          *Fns[I], Status::failure(ErrorCategory::BudgetExceeded, "deadline",
+                                   "module deadline expired before @" +
+                                       Fns[I]->name() + " was analyzed"));
       HasResult[I] = 1;
     }
     Dirty[I] = 0;

@@ -13,59 +13,35 @@
 
 using namespace vrp;
 
-// Constants are interned process-wide (see getInt/getFloat), so both the
-// pools and every constant's use list are shared between all modules in
-// the process. The parallel evaluation engine builds and destroys modules
-// concurrently; this lock keeps that shared state coherent. Non-constant
-// values are owned by exactly one module and stay lock-free.
-static std::mutex &sharedConstantMutex() {
+// Constants are interned process-wide (see getInt/getFloat) and shared
+// by every module in the process, so they record no uses: a shared use
+// list would collect every module's uses of 0 or 1 behind one lock, and
+// nothing reads it (assertion insertion skips constants; propagation and
+// SSA construction walk instruction and parameter use lists only). The
+// parallel evaluation engine builds modules concurrently; this lock
+// guards the two pools. Non-constant values are owned by exactly one
+// module and stay lock-free.
+static std::mutex &constantPoolMutex() {
   static std::mutex M;
   return M;
 }
 
 void Value::addUse(Instruction *User, unsigned Index) {
-  if (TheKind == Kind::Constant) {
-    std::lock_guard<std::mutex> Lock(sharedConstantMutex());
+  if (TheKind != Kind::Constant)
     Uses.push_back({User, Index});
-    return;
-  }
-  Uses.push_back({User, Index});
 }
 
 void Value::removeUse(Instruction *User, unsigned Index) {
-  auto erase = [&] {
-    for (size_t I = 0; I < Uses.size(); ++I) {
-      if (Uses[I].User == User && Uses[I].OperandIndex == Index) {
-        Uses[I] = Uses.back();
-        Uses.pop_back();
-        return true;
-      }
+  if (TheKind == Kind::Constant)
+    return;
+  for (size_t I = 0; I < Uses.size(); ++I) {
+    if (Uses[I].User == User && Uses[I].OperandIndex == Index) {
+      Uses[I] = Uses.back();
+      Uses.pop_back();
+      return;
     }
-    return false;
-  };
-  bool Found;
-  if (TheKind == Kind::Constant) {
-    std::lock_guard<std::mutex> Lock(sharedConstantMutex());
-    Found = erase();
-  } else {
-    Found = erase();
   }
-  assert(Found && "use not found");
-  (void)Found;
-}
-
-bool Value::hasUse(const Instruction *User, unsigned Index) const {
-  auto scan = [&] {
-    for (const Use &U : Uses)
-      if (U.User == User && U.OperandIndex == Index)
-        return true;
-    return false;
-  };
-  if (TheKind == Kind::Constant) {
-    std::lock_guard<std::mutex> Lock(sharedConstantMutex());
-    return scan();
-  }
-  return scan();
+  assert(false && "use not found");
 }
 
 std::string Constant::displayName() const {
@@ -82,7 +58,7 @@ std::string Constant::displayName() const {
 // the lock protects concurrent insertion.
 Constant *Constant::getInt(int64_t V) {
   static std::map<int64_t, std::unique_ptr<Constant>> Pool;
-  std::lock_guard<std::mutex> Lock(sharedConstantMutex());
+  std::lock_guard<std::mutex> Lock(constantPoolMutex());
   auto &Slot = Pool[V];
   if (!Slot)
     Slot.reset(new Constant(V));
@@ -91,7 +67,7 @@ Constant *Constant::getInt(int64_t V) {
 
 Constant *Constant::getFloat(double V) {
   static std::map<double, std::unique_ptr<Constant>> Pool;
-  std::lock_guard<std::mutex> Lock(sharedConstantMutex());
+  std::lock_guard<std::mutex> Lock(constantPoolMutex());
   auto &Slot = Pool[V];
   if (!Slot)
     Slot.reset(new Constant(V));

@@ -9,7 +9,8 @@
 /// an operand: constants, function parameters, and instruction results.
 /// Def-use edges ("SSA edges" in the paper) are maintained automatically by
 /// Instruction::setOperand and drive the SSA worklist of the propagation
-/// engine.
+/// engine. Only parameters and instructions record uses: constants are
+/// interned process-wide and shared by every module.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -47,15 +48,19 @@ public:
   Kind kind() const { return TheKind; }
   IRType type() const { return Type; }
 
+  /// Def-use edges. Interned Constants are shared by every module and
+  /// record no uses, so their lists are always empty.
   const std::vector<Use> &uses() const { return Uses; }
   bool hasUses() const { return !Uses.empty(); }
   unsigned numUses() const { return Uses.size(); }
 
-  /// Whether (\p User, \p Index) appears in the use list. Unlike iterating
-  /// uses() directly, this is safe to call on interned Constants while
-  /// other threads build or destroy modules: constants are shared
-  /// process-wide, so their use lists are guarded by a lock (Value.cpp).
-  bool hasUse(const Instruction *User, unsigned Index) const;
+  /// Whether (\p User, \p Index) appears in the use list.
+  bool hasUse(const Instruction *User, unsigned Index) const {
+    for (const Use &U : Uses)
+      if (U.User == User && U.OperandIndex == Index)
+        return true;
+    return false;
+  }
 
   /// A short printable name, e.g. "%t12", "7", "arg n". Computed by
   /// subclasses.
@@ -63,8 +68,7 @@ public:
 
 private:
   friend class Instruction;
-  // Out of line: use-list edits on interned Constants take a process-wide
-  // lock so modules can be built and destroyed concurrently.
+  // No-ops on interned Constants (see uses()).
   void addUse(Instruction *User, unsigned Index);
   void removeUse(Instruction *User, unsigned Index);
 

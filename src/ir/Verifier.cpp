@@ -112,9 +112,9 @@ void VerifierImpl::checkEdgeSymmetry() {
 void VerifierImpl::checkInstruction(const Instruction &I) {
   for (unsigned Idx = 0; Idx < I.numOperands(); ++Idx) {
     Value *Op = I.operand(Idx);
-    // Operand use lists must contain this use. hasUse (not uses()) so the
-    // check is safe on shared Constants during parallel evaluation.
-    if (!Op->hasUse(&I, Idx))
+    // Operand use lists must contain this use. Interned constants are
+    // shared by every module and record no uses.
+    if (!isa<Constant>(Op) && !Op->hasUse(&I, Idx))
       problem("operand " + std::to_string(Idx) + " of " + I.displayName() +
               " missing from use list");
   }

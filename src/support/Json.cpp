@@ -104,6 +104,19 @@ bool json::parseUnsigned(std::string_view S, uint64_t &Out) {
   return !scanUnsigned(S, Pos, Out, UINT64_MAX) && Pos == S.size();
 }
 
+bool json::parseSigned(std::string_view S, int64_t &Out) {
+  bool Negative = !S.empty() && S[0] == '-';
+  size_t Pos = Negative ? 1 : 0;
+  // |INT64_MIN| = INT64_MAX + 1.
+  uint64_t Max = uint64_t(INT64_MAX) + (Negative ? 1 : 0);
+  uint64_t Magnitude = 0;
+  if (scanUnsigned(S, Pos, Magnitude, Max) || Pos != S.size())
+    return false;
+  Out = Negative ? static_cast<int64_t>(0 - Magnitude)
+                 : static_cast<int64_t>(Magnitude);
+  return true;
+}
+
 //===----------------------------------------------------------------------===//
 // Cursor
 //===----------------------------------------------------------------------===//

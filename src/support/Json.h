@@ -46,6 +46,11 @@ bool parseHexDouble(std::string_view S, double &Out);
 /// trailing bytes and overflow are rejected.
 bool parseUnsigned(std::string_view S, uint64_t &Out);
 
+/// Parses all of \p S as a signed 64-bit decimal: an optional '-', then
+/// digits. A '+' sign, whitespace, trailing bytes and values outside
+/// [INT64_MIN, INT64_MAX] are rejected.
+bool parseSigned(std::string_view S, int64_t &Out);
+
 /// Strict scanner over one JSON text. Whitespace between tokens is
 /// skipped. \p Text must outlive the cursor.
 class Cursor {

@@ -33,6 +33,19 @@ PropagationContext PropagationContext::intraprocedural() {
   return Ctx;
 }
 
+FunctionVRPResult FunctionVRPResult::degraded(const Function &F,
+                                              Status Cause) {
+  FunctionVRPResult R;
+  R.F = &F;
+  R.Degraded = true;
+  R.DegradeCause = std::move(Cause);
+  R.BlockProb.assign(F.numBlocks(), 1.0);
+  for (const auto &B : F.blocks())
+    if (const auto *CBr = dyn_cast_or_null<CondBrInst>(B->terminator()))
+      R.Branches[CBr] = BranchPrediction{0.5, false, true};
+  return R;
+}
+
 ValueRange FunctionVRPResult::rangeOf(const Value *V) const {
   if (const auto *C = dyn_cast<Constant>(V))
     return C->isInt() ? ValueRange::intConstant(C->intValue())
@@ -622,16 +635,10 @@ FunctionVRPResult Engine::run() {
   if (Degraded) {
     // Partial lattice state is unsound to expose (a range caught
     // mid-descent can be too narrow), so degrade the whole function to
-    // ⊥: no ranges, every block presumed reachable, every branch handed
-    // to the Ball–Larus fallback at a neutral probability.
-    Result.Degraded = true;
-    Result.DegradeCause = Cause;
-    Result.Ranges.clear();
-    Result.BlockProb.assign(N, 1.0);
-    Result.Branches.clear();
-    for (const auto &B : F.blocks())
-      if (const auto *CBr = dyn_cast_or_null<CondBrInst>(B->terminator()))
-        Result.Branches[CBr] = BranchPrediction{0.5, false, true};
+    // ⊥, keeping the work counters accumulated so far.
+    RangeStats Stats = Result.Stats;
+    Result = FunctionVRPResult::degraded(F, std::move(Cause));
+    Result.Stats = Stats;
     telemetry::count(telemetry::Counter::BudgetDegradations);
     reportStats();
     finishTrace();

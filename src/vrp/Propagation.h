@@ -56,6 +56,12 @@ struct FunctionVRPResult {
   /// φ that never stabilized — the message names function and variable).
   Status DegradeCause;
 
+  /// The whole-function ⊥ result: no ranges, every block presumed
+  /// reachable, every branch handed to the Ball–Larus fallback at a
+  /// neutral probability. \p Cause becomes DegradeCause. Counts nothing:
+  /// each caller attributes the degradation itself.
+  static FunctionVRPResult degraded(const Function &F, Status Cause);
+
   /// Range lookup with constant folding (constants get exact ranges).
   ValueRange rangeOf(const Value *V) const;
 

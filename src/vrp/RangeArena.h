@@ -5,32 +5,31 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Module-lifetime structure-of-arrays storage for canonical subrange
-/// sets. Every `ValueRange` of kind Ranges holds a 32-bit *slice id* into
-/// this arena instead of a heap `std::vector<SubRange>`; the arena stores
-/// the subrange fields in six contiguous parallel columns
-/// `{Prob, LoSym, LoOff, HiSym, HiOff, Stride}` so the hot kernels in
-/// RangeOps iterate flat arrays instead of pointer-bearing structs.
+/// Module-lifetime structure-of-arrays storage for canonical weighted
+/// range sets. Every `ValueRange` of kind Ranges or FloatRanges holds a
+/// 32-bit *slice id* into this arena instead of a heap vector, so the hot
+/// kernels in RangeOps iterate flat columns instead of pointer-bearing
+/// structs. There are two column families with separate id spaces:
+/// integer subranges in six parallel columns `{Prob, LoSym, LoOff, HiSym,
+/// HiOff, Stride}`, and FP intervals (docs/DOMAINS.md) in three `{Prob,
+/// Lo, Hi}` (binary64 bounds) plus a per-slice NaN probability mass. Both
+/// are instances of one slice table, which owns the column chunks, the
+/// slice infos, the intern map, the cursors and the single intern loop; a
+/// family supplies only its columns and its slice-level content.
 ///
-/// All-numeric slices are *interned*: inserting a row set that is bitwise
-/// identical to a previously inserted one returns the existing id, so
-/// φ-heavy functions share storage module-wide and range equality has an
-/// id-comparison fast path. Symbolic bounds store an interned 32-bit
-/// symbol ordinal (0 = numeric) rather than a `const Value *`, keeping
-/// rows pointer-free; the symbol table maps ordinals back to SSA values
-/// on the slow path. Symbolic slices are arena-allocated but deliberately
-/// *not* deduped: their identity involves SSA pointers, and heap address
-/// reuse across function lifetimes would make cross-function identity —
-/// and with it the intern counters — depend on the thread schedule.
-///
-/// The floating-point domain (docs/DOMAINS.md) stores its weighted
-/// intervals as a *parallel column family* in the same arena: three
-/// contiguous columns `{Prob, Lo, Hi}` (binary64 bounds) plus a per-slice
-/// NaN probability mass, with its own slice-id space and intern map. FP
-/// contents are always pointer-free, so every FP slice interns
-/// module-wide; the NaN mass is part of the interned content (hashed and
-/// compared by bit pattern) so an FP slice id alone identifies the full
-/// lattice value.
+/// Slices are *interned*: inserting content bitwise identical to an
+/// earlier insert returns the existing id, so φ-heavy functions share
+/// storage module-wide and range equality has an id-comparison fast path.
+/// Integer bounds store an interned 32-bit symbol ordinal (0 = numeric)
+/// rather than a `const Value *`, keeping rows pointer-free; the symbol
+/// table maps ordinals back to SSA values on the slow path. Symbolic
+/// slices get rows but are deliberately *not* deduped: their identity
+/// involves SSA pointers, and heap address reuse across function
+/// lifetimes would make cross-function identity — and with it the intern
+/// counters — depend on the thread schedule. FP contents are always
+/// pointer-free, so every FP slice interns; the NaN mass is part of its
+/// content, so an FP slice id alone identifies the full lattice value
+/// (the pure-NaN range is a rowless slice).
 ///
 /// Concurrency: insertion takes a mutex; reads are lock-free. Columns are
 /// chunked with stable addresses (a slice never straddles a chunk), so a
@@ -44,6 +43,7 @@
 #ifndef VRP_VRP_RANGEARENA_H
 #define VRP_VRP_RANGEARENA_H
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <mutex>
@@ -84,8 +84,8 @@ public:
   /// interning keys on content.
   static RangeArena &global();
 
-  /// SoA view of one slice: six parallel columns of length `Count`.
-  /// `LoSym`/`HiSym` are symbol ordinals (0 = numeric bound).
+  /// SoA view of one integer slice: six parallel columns of length
+  /// `Count`. `LoSym`/`HiSym` are symbol ordinals (0 = numeric bound).
   struct Rows {
     const double *Prob = nullptr;
     const int64_t *LoOff = nullptr;
@@ -97,32 +97,6 @@ public:
     bool AllNumeric = true;
   };
 
-  /// Interns \p N subranges as one slice and returns its id; bitwise
-  /// identical content (probability compared by bit pattern, symbols by
-  /// identity) returns the existing id. N == 0 returns the empty slice 0.
-  uint32_t intern(const SubRange *Subs, uint32_t N);
-
-  /// Starts a new counting epoch (registered as a telemetry reset hook).
-  /// The arena's contents outlive any one telemetry run, so the intern
-  /// counters are *epoch-relative*: the first intern of a given content
-  /// within an epoch counts as a miss (and contributes its payload
-  /// bytes), exactly as it would in a fresh process, making a run's
-  /// counter totals a function of that run's work alone.
-  void beginEpoch();
-
-  /// Column view of a slice. Slice 0 yields an empty view.
-  Rows rows(uint32_t SliceId) const;
-
-  /// Materializes row \p I of a slice as a SubRange value.
-  SubRange row(uint32_t SliceId, uint32_t I) const;
-
-  uint32_t sliceSize(uint32_t SliceId) const;
-  bool sliceAllNumeric(uint32_t SliceId) const;
-
-  //===--------------------------------------------------------------------===
-  // Floating-point column family (docs/DOMAINS.md)
-  //===--------------------------------------------------------------------===
-
   /// SoA view of one FP slice: three parallel columns of length `Count`
   /// plus the slice-level NaN probability mass.
   struct FPRows {
@@ -133,22 +107,34 @@ public:
     double NaNMass = 0.0;
   };
 
+  /// Interns \p N subranges as one integer slice and returns its id;
+  /// bitwise identical all-numeric content (probability compared by bit
+  /// pattern) returns the existing id. N == 0 returns the empty slice 0.
+  uint32_t intern(const SubRange *Subs, uint32_t N);
+
   /// Interns \p N weighted FP intervals plus the slice's NaN probability
   /// mass as one FP slice and returns its id. FP slice ids are a separate
   /// id space from integer slice ids (a ValueRange's kind disambiguates).
-  /// All FP contents are pointer-free, so every FP slice interns
-  /// module-wide; \p NaNMass participates in the content hash and the
-  /// dedup compare (by bit pattern), making slice id -> NaN mass
-  /// injective — which RangeOps' memo keys rely on. N == 0 with zero NaN
-  /// mass returns the empty slice 0; N == 0 with positive NaN mass is the
-  /// pure-NaN range and interns a rowless slice.
+  /// \p NaNMass is part of the content (compared by bit pattern), making
+  /// slice id -> NaN mass injective — which RangeOps' memo keys rely on.
+  /// N == 0 with zero NaN mass returns the empty slice 0; N == 0 with
+  /// positive NaN mass is the pure-NaN range, a rowless slice.
   uint32_t internFP(const FPInterval *Subs, uint32_t N, double NaNMass);
 
-  /// Column view of an FP slice. Slice 0 yields an empty view.
+  /// Starts a new counting epoch (registered as a telemetry reset hook).
+  /// The arena's contents outlive any one telemetry run, so the intern
+  /// counters are *epoch-relative*: the first intern of a given content
+  /// within an epoch counts as a miss (and contributes its payload
+  /// bytes), exactly as it would in a fresh process, making a run's
+  /// counter totals a function of that run's work alone.
+  void beginEpoch();
+
+  /// Column views of a slice. Slice 0 yields an empty view.
+  Rows rows(uint32_t SliceId) const;
   FPRows fpRows(uint32_t SliceId) const;
 
-  uint32_t fpSliceSize(uint32_t SliceId) const;
-  double fpNaNMass(uint32_t SliceId) const;
+  /// True when no bound of the integer slice is symbolic.
+  bool sliceAllNumeric(uint32_t SliceId) const;
 
   /// Symbol ordinal -> SSA value (0 -> nullptr).
   const Value *symValue(uint32_t SymId) const;
@@ -158,7 +144,83 @@ private:
   RangeArena(const RangeArena &) = delete;
   RangeArena &operator=(const RangeArena &) = delete;
 
-  struct RowChunk {
+  static constexpr uint32_t MaxChunks = 1u << 15; // 2^27 rows / slices.
+
+  /// A directory of lazily allocated chunks at stable addresses. Chunks
+  /// are created under Mu and published with release; readers load them
+  /// lock-free with acquire.
+  template <typename Chunk> class Directory {
+  public:
+    Directory() {
+      for (auto &C : Chunks)
+        C.store(nullptr, std::memory_order_relaxed);
+    }
+    const Chunk &operator[](uint32_t Index) const {
+      return *Chunks[Index].load(std::memory_order_acquire);
+    }
+    Chunk &materialize(uint32_t Index) { // Under Mu.
+      Chunk *C = Chunks[Index].load(std::memory_order_acquire);
+      if (!C) {
+        C = new Chunk();
+        Chunks[Index].store(C, std::memory_order_release);
+      }
+      return *C;
+    }
+
+  private:
+    std::atomic<Chunk *> Chunks[MaxChunks];
+  };
+
+  /// One slot of T per id, ChunkRows slots per chunk.
+  template <typename T> class Slots {
+  public:
+    const T &operator[](uint32_t Id) const {
+      return Chunks[Id >> ChunkShift][Id & (ChunkRows - 1)];
+    }
+    T &slot(uint32_t Id) { // Under Mu.
+      return Chunks.materialize(Id >> ChunkShift)[Id & (ChunkRows - 1)];
+    }
+
+  private:
+    Directory<std::array<T, ChunkRows>> Chunks;
+  };
+
+  /// One column family's slice storage: column chunks (a slice never
+  /// straddles one), per-slice infos, the content-hash intern map and the
+  /// cursors. `Extra` is the family's slice-level content; it is compared
+  /// by bit pattern and its zero value belongs to the empty slice 0.
+  template <typename Columns, typename Extra> struct SliceTable {
+    struct Info {
+      uint32_t RowBegin = 0;
+      /// Last epoch this content was counted in (written under Mu, never
+      /// read by the lock-free accessors).
+      uint32_t Epoch = 0;
+      uint16_t Count = 0;
+      Extra X{};
+    };
+
+    SliceTable() { Infos.slot(0); } // Slice 0 is the empty slice.
+
+    /// The chunk holding a slice's rows; null for a rowless slice.
+    const Columns *columns(const Info &Slice) const {
+      return Slice.Count ? &ColumnChunks[Slice.RowBegin >> ChunkShift]
+                         : nullptr;
+    }
+
+    /// The one intern loop (RangeArena.cpp): hash, candidate compare,
+    /// epoch-relative counting, row and slice allocation. Under Mu.
+    template <typename Content>
+    uint32_t intern(const Content &C, uint32_t Epoch);
+
+    Directory<Columns> ColumnChunks;
+    Slots<Info> Infos;
+    /// Content hash -> deduplicable slice ids with that hash.
+    std::unordered_map<uint64_t, std::vector<uint32_t>> InternMap;
+    uint32_t NextRow = 0;   ///< Row cursor (chunk-padded).
+    uint32_t NextSlice = 1; ///< Slice 0 is reserved.
+  };
+
+  struct IntColumns {
     double Prob[ChunkRows];
     int64_t LoOff[ChunkRows];
     int64_t HiOff[ChunkRows];
@@ -166,70 +228,29 @@ private:
     uint32_t LoSym[ChunkRows];
     uint32_t HiSym[ChunkRows];
   };
-
-  struct SliceInfo {
-    uint32_t RowBegin = 0;
-    uint16_t Count = 0;
-    uint16_t AllNumeric = 1;
-    /// Last epoch this content was interned in (counting only; written
-    /// under Mu, never read by the lock-free accessors).
-    uint32_t Epoch = 0;
-  };
-
-  struct SliceChunk {
-    SliceInfo Infos[ChunkRows];
-  };
-
-  struct SymChunk {
-    const Value *Syms[ChunkRows];
-  };
-
-  /// FP column family: same chunked-stable-address discipline as the
-  /// integer rows, but only three double columns and a per-slice NaN mass.
-  struct FPRowChunk {
+  struct FPColumns {
     double Prob[ChunkRows];
     double Lo[ChunkRows];
     double Hi[ChunkRows];
   };
+  /// What each family interns (RangeArena.cpp).
+  struct IntContent;
+  struct FPContent;
 
-  struct FPSliceInfo {
-    uint32_t RowBegin = 0;
-    uint16_t Count = 0;
-    uint32_t Epoch = 0; ///< See SliceInfo::Epoch.
-    double NaNMass = 0.0;
-  };
-
-  struct FPSliceChunk {
-    FPSliceInfo Infos[ChunkRows];
-  };
-
-  static constexpr uint32_t MaxChunks = 1u << 15; // 2^27 rows / slices.
-
-  RowChunk *rowChunk(uint32_t Index) const;
-  const SliceInfo &sliceInfo(uint32_t SliceId) const;
-  const FPSliceInfo &fpSliceInfo(uint32_t SliceId) const;
   uint32_t symId(const Value *V); // Under Mu.
 
-  mutable std::mutex Mu;
-  uint32_t NextRow = 0;   // Global row cursor (chunk-padded).
-  uint32_t NextSlice = 1; // Slice 0 is the reserved empty slice.
-  uint32_t NextSym = 1;   // Symbol 0 is the numeric bound.
-  uint32_t NextFPRow = 0;   // FP row cursor (chunk-padded).
-  uint32_t NextFPSlice = 1; // FP slice 0 is the reserved empty slice.
-  uint32_t CurrentEpoch = 1; // Counting epoch; SliceInfo::Epoch 0 = stale.
+  std::mutex Mu;
+  uint32_t CurrentEpoch = 1; // Counting epoch; Info::Epoch 0 = stale.
+  /// Integer family; its Extra is 1 when some bound is symbolic.
+  SliceTable<IntColumns, uint16_t> Ints;
+  /// FP family; its Extra is the slice's NaN probability mass.
+  SliceTable<FPColumns, double> FPs;
 
-  std::atomic<RowChunk *> RowChunks[MaxChunks];
-  std::atomic<SliceChunk *> SliceChunks[MaxChunks];
-  std::atomic<SymChunk *> SymChunks[MaxChunks];
-  std::atomic<FPRowChunk *> FPRowChunks[MaxChunks];
-  std::atomic<FPSliceChunk *> FPSliceChunks[MaxChunks];
-
-  /// Content hash -> slice ids with that hash (collision list).
-  std::unordered_map<uint64_t, std::vector<uint32_t>> InternMap;
-  std::unordered_map<uint64_t, std::vector<uint32_t>> FPInternMap;
+  /// Symbol ordinal -> SSA value; ordinal 0 is the numeric bound.
+  Slots<const Value *> Syms;
   std::unordered_map<const Value *, uint32_t> SymIds;
-
-  /// Scratch symbol-ordinal buffers for the row being interned (guarded
+  uint32_t NextSym = 1;
+  /// Scratch symbol-ordinal buffers for the slice being interned (guarded
   /// by Mu; member to avoid per-call allocation).
   std::vector<uint32_t> ScratchLoSym, ScratchHiSym;
 };

@@ -14,9 +14,12 @@
 #include "support/ResultStore.h"
 #include "vrp/Propagation.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <gtest/gtest.h>
+#include <iterator>
 #include <memory>
+#include <sstream>
 
 using namespace vrp;
 
@@ -237,6 +240,40 @@ TEST(PersistentCacheTest, ExpungedFunctionIsDroppedBeforeCommit) {
   EXPECT_TRUE(PC->lookup(MainKey, *Main, Out))
       << "expunge must only drop the quarantined function";
   std::remove(Path.c_str());
+}
+
+TEST(PersistentCacheTest, OutOfRangeOffsetFailsToDeserialize) {
+  auto Program = compile(LoopSource);
+  const Function *F = findFn(*Program->IR, "clamp");
+  ASSERT_NE(F, nullptr);
+  std::string Bytes =
+      PersistentCache::serialize(propagateRanges(*F, VRPOptions()));
+  FunctionVRPResult Out;
+  ASSERT_TRUE(PersistentCache::deserialize(Bytes, *F, Out));
+
+  // Replace the first integer range's first lower-bound offset (the token
+  // four past "R": count, probability, symbol, offset) with one past
+  // INT64_MAX. A saturating parser would accept it as INT64_MAX.
+  std::istringstream In(Bytes);
+  std::string Line, Tampered;
+  bool Replaced = false;
+  while (std::getline(In, Line)) {
+    std::istringstream Words(Line);
+    std::vector<std::string> Toks{std::istream_iterator<std::string>(Words),
+                                  std::istream_iterator<std::string>()};
+    auto R = std::find(Toks.begin(), Toks.end(), "R");
+    if (!Replaced && Toks.end() - R > 4) {
+      *(R + 4) = "99999999999999999999";
+      Replaced = true;
+      Line.clear();
+      for (const std::string &T : Toks)
+        Line += (Line.empty() ? "" : " ") + T;
+    }
+    Tampered += Line + "\n";
+  }
+  ASSERT_TRUE(Replaced) << "clamp's result must hold an integer range";
+  EXPECT_FALSE(PersistentCache::deserialize(Tampered, *F, Out))
+      << "an out-of-range offset must fail, not saturate";
 }
 
 TEST(PersistentCacheTest, CorruptPayloadIsAMissNotAFailure) {

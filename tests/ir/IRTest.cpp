@@ -48,6 +48,30 @@ TEST_F(IRTest, ConstantsAreInterned) {
   EXPECT_FALSE(Constant::getFloat(0.0)->isInt());
 }
 
+TEST(IRConstantTest, SharedConstantsRecordNoUses) {
+  // Interned constants are shared process-wide: uses from two modules
+  // must not land in one shared use list, and the verifier must not ask
+  // for them.
+  Constant *Shared = Constant::getInt(424242);
+  Module A, B;
+  for (Module *M : {&A, &B}) {
+    Function *F = M->makeFunction("f", IRType::Int);
+    BasicBlock *Entry = F->makeBlock("entry");
+    Param *X = F->addParam(IRType::Int, "x");
+    Instruction *Add = Entry->append(std::make_unique<BinaryInst>(
+        Opcode::Add, IRType::Int, X, Shared));
+    Add->setOperand(0, Shared);
+    Add->setOperand(0, X);
+    createRet(Entry, Add);
+  }
+  EXPECT_FALSE(Shared->hasUses());
+  for (Module *M : {&A, &B}) {
+    std::vector<std::string> Problems;
+    EXPECT_TRUE(verifyModule(*M, Problems, /*ExpectPhis=*/false))
+        << (Problems.empty() ? "" : Problems.front());
+  }
+}
+
 TEST_F(IRTest, OperandsRegisterUses) {
   auto *Add = emit<BinaryInst>(Opcode::Add, IRType::Int, X, Y);
   ASSERT_EQ(X->numUses(), 1u);

@@ -129,6 +129,36 @@ TEST(JsonTest, UnsignedNumbersAreBoundedAndUnsigned) {
   EXPECT_FALSE(Neg.uint(V));
 }
 
+TEST(JsonTest, SignedNumbersAreStrictAndBounded) {
+  int64_t V = 0;
+  EXPECT_TRUE(json::parseSigned("42", V));
+  EXPECT_EQ(42, V);
+  EXPECT_TRUE(json::parseSigned("-42", V));
+  EXPECT_EQ(-42, V);
+  EXPECT_TRUE(json::parseSigned("0", V));
+  EXPECT_EQ(0, V);
+  EXPECT_FALSE(json::parseSigned("+42", V));
+  EXPECT_FALSE(json::parseSigned("--42", V));
+  EXPECT_FALSE(json::parseSigned("-", V));
+  EXPECT_FALSE(json::parseSigned("", V));
+
+  // Both ends of the range parse exactly; one past either end fails
+  // instead of saturating.
+  EXPECT_TRUE(json::parseSigned("9223372036854775807", V));
+  EXPECT_EQ(INT64_MAX, V);
+  EXPECT_TRUE(json::parseSigned("-9223372036854775808", V));
+  EXPECT_EQ(INT64_MIN, V);
+  EXPECT_FALSE(json::parseSigned("9223372036854775808", V));
+  EXPECT_FALSE(json::parseSigned("-9223372036854775809", V));
+  EXPECT_FALSE(json::parseSigned("99999999999999999999", V));
+  EXPECT_FALSE(json::parseSigned("-99999999999999999999", V));
+
+  EXPECT_FALSE(json::parseSigned("12abc", V));
+  EXPECT_FALSE(json::parseSigned("-7 ", V));
+  EXPECT_FALSE(json::parseSigned(" 7", V));
+  EXPECT_FALSE(json::parseSigned("7.0", V));
+}
+
 TEST(JsonTest, FirstFailureSticks) {
   json::Cursor C("[1,x,3]");
   uint64_t A = 0, B = 0, D = 0;
